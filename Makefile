@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet verify verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-tree verify-apps chaos smoke-examples bench-hostagg bench-sim bench-dse bench-microcode
+.PHONY: build test vet verify smoke-examples
 
 build:
 	$(GO) build ./...
@@ -11,60 +11,17 @@ test:
 vet:
 	$(GO) vet ./...
 
-# verify is the tier-1 gate: full build + tests, whole-repo vet, then the
-# race suites of the concurrency-critical layers (hostagg's sharded hot
-# path, vfp's host datapath, obs's atomic instruments, dse's worker pool,
-# tree's partitioned hierarchy), the metric documentation check, and an
+# verify is the extended gate: whole-repo vet and race-enabled tests (every
+# golden, determinism and fuzz-corpus replay included), the metric
+# documentation check, a short fresh-input run of the hostagg wire fuzzer,
+# the perfbench module (its own go.mod keeps it out of ./...), and an
 # every-example smoke run.
-verify: build test vet verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-tree verify-apps smoke-examples
-
-verify-hostagg:
-	$(GO) test -race ./internal/hostagg/...
-
-# verify-hostagg-live drives the real UDP server under adversarial tenants:
-# the race-enabled live-wire chaos tests, the seed-1 categorical golden, and
-# a short FuzzHandle run over the checked-in corpus plus fresh inputs.
-verify-hostagg-live:
-	$(GO) test -race -run 'TestLiveChaos|TestGoldenLiveChaos' ./internal/harness/
-	$(GO) run ./cmd/triobench -exp livechaos -seed 1 -quiet | diff -u internal/harness/testdata/golden_livechaos_seed1.txt -
-	@echo "verify-hostagg-live: livechaos table matches golden capture"
+verify: vet
+	$(GO) test -race ./...
+	$(GO) run ./tools/obscheck
 	$(GO) test -fuzz=FuzzHandle -fuzztime=10s -run FuzzHandle ./internal/hostagg/
-
-# verify-faults races the fault-injection plan and the crash/rejoin training
-# clusters that consume it.
-verify-faults:
-	$(GO) test -race ./internal/faults/... ./internal/mltrain/...
-
-# chaos runs the fault-sweep experiment at seed 1 and diffs the summary
-# table against the golden capture (quick mode, same as the pinned test).
-chaos:
-	$(GO) run ./cmd/triobench -exp chaos -seed 1 -quiet | diff -u internal/harness/testdata/golden_chaos_seed1.txt -
-	@echo "chaos: summary table matches golden capture"
-
-verify-vfp:
-	$(GO) test -race ./internal/vfp/...
-
-# verify-sim races the partitioned simulation core (cluster barrier hammer
-# included) and the cross-partition determinism tests: fig15 at P in {1,2,4}
-# must render byte-identically.
-verify-sim:
-	$(GO) test -race -run 'TestCluster' ./internal/sim/
-	$(GO) test -race -run 'TestCrossPartitionDeterminism|TestLinkBetween' ./internal/harness/ ./internal/netsim/
-
-# verify-tree races the multi-rack hierarchical aggregation package (composed
-# straggler semantics, gen-restart recovery, rack failure) and the harness's
-# tree determinism pins: the tree sweep and treechaos tables must render
-# byte-identically at any partition count, and treechaos must match its
-# golden capture.
-verify-tree:
-	$(GO) test -race ./internal/tree/
-	$(GO) test -race -run 'TestTree|TestGoldenTreeChaos' ./internal/harness/
-
-# verify-dse races the sweep executor/store and the parallel-vs-serial
-# determinism tests in the harness.
-verify-dse:
-	$(GO) test -race ./internal/dse/...
-	$(GO) test -race -run 'TestDSEParallelMatchesSerial|TestSecondSeedDeterminism' ./internal/harness/
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	$(MAKE) smoke-examples
 
 # smoke-examples builds every example and runs each briefly; they all
 # self-terminate, so a hang (caught by timeout) or nonzero exit fails.
@@ -77,62 +34,3 @@ smoke-examples:
 		echo "smoke-examples: $$name ok"; \
 	done
 	@rm -rf .smoke-bin
-
-# verify-obs races the registry/trace instruments and fails if any exported
-# metric name is missing from OBSERVABILITY.md.
-verify-obs:
-	$(GO) test -race ./internal/obs/...
-	$(GO) run ./tools/obscheck
-
-# verify-microcode races the v2 compile/verify/dispatch pipeline and replays
-# the FuzzAssemble seed+regression corpus (parse -> compile -> twin-engine
-# dispatch must never panic and must stay bit-identical).
-verify-microcode:
-	$(GO) test -race ./internal/microcode/
-	$(GO) test -run FuzzAssemble ./internal/microcode/
-
-# verify-apps races both in-network application packages (netrpc's concurrent
-# cache-service paths, infnet's classifier) and the harness's apps pins: the
-# seed-1 golden tables, the two-run seed determinism check, the P in {1,2}
-# cross-partition determinism check, and the per-experiment hard checks
-# (instruction-exact cost conformance, reference-model bit-identity,
-# cache-poisoning rejection).
-verify-apps:
-	$(GO) test -race ./internal/apps/...
-	$(GO) test -race -run 'TestGoldenAppsDeterminism|TestAppsSeedDeterminism|TestAppsCrossPartitionDeterminism|TestNetRPCHardChecks|TestInfnetHardChecks' ./internal/harness/
-
-# bench-hostagg measures the sharded hot path and the loopback UDP allreduce
-# and writes BENCH_hostagg.json (contention numbers are CPU-count dependent;
-# the JSON records num_cpu).
-bench-hostagg:
-	$(GO) test -run xxx -bench 'Shard|AllReduceUDP' -benchmem ./internal/hostagg/ > .bench_hostagg_raw.txt
-	$(GO) run ./tools/benchhostagg -in .bench_hostagg_raw.txt -out BENCH_hostagg.json
-	@rm -f .bench_hostagg_raw.txt
-	@cat BENCH_hostagg.json
-
-# bench-sim measures the event core and the Fig. 14/15 simulation loops and
-# writes BENCH_sim.json (pre-refactor baseline vs current).
-bench-sim:
-	$(GO) test -run xxx -bench BenchmarkEngine -benchmem ./internal/sim/ > .bench_sim_raw.txt
-	$(GO) test -run xxx -bench 'BenchmarkFig1[45]' -benchtime 20x -benchmem ./internal/harness/ >> .bench_sim_raw.txt
-	$(GO) run ./tools/benchsim -in .bench_sim_raw.txt -out BENCH_sim.json
-	@rm -f .bench_sim_raw.txt
-	@cat BENCH_sim.json
-
-# bench-microcode measures interpreter vs compiled dispatch on the mcagg
-# 1024-gradient workload and writes BENCH_microcode.json with the speedup
-# ratio (acceptance bar: >= 2.0).
-bench-microcode:
-	$(GO) test -run xxx -bench BenchmarkMicrocodeDispatch -benchtime 2s . > .bench_micro_raw.txt
-	$(GO) run ./tools/benchmicro -in .bench_micro_raw.txt -out BENCH_microcode.json
-	@rm -f .bench_micro_raw.txt
-	@cat BENCH_microcode.json
-
-# bench-dse measures the same 32-trial sweep with one worker and with
-# NumCPU workers and writes BENCH_dse.json with the speedup (~1.0 on
-# single-CPU hosts, where both configurations serialize the same work).
-bench-dse:
-	$(GO) test -run xxx -bench BenchmarkSweepWorkers -benchtime 3x ./internal/dse/ > .bench_dse_raw.txt
-	$(GO) run ./tools/benchdse -in .bench_dse_raw.txt -out BENCH_dse.json
-	@rm -f .bench_dse_raw.txt
-	@cat BENCH_dse.json

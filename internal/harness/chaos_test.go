@@ -13,11 +13,7 @@ import (
 // result must land within the §5 recovery bound (2x timeout + grace). A
 // violation comes back as an error.
 func TestChaosBounds(t *testing.T) {
-	e, ok := Lookup("chaos")
-	if !ok {
-		t.Fatal("chaos experiment not registered")
-	}
-	tables, err := e.Run(Params{Quick: true, Seed: 1})
+	tables, err := runMemo(t, "chaos", Params{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatalf("chaos: %v", err)
 	}
@@ -46,16 +42,8 @@ func TestGoldenChaosDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden file: %v", err)
 	}
-	e, _ := Lookup("chaos")
-	tables, err := e.Run(Params{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatalf("chaos: %v", err)
-	}
-	var got bytes.Buffer
-	for _, tb := range tables {
-		tb.Render(&got)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("chaos output diverged from the golden capture\n--- want ---\n%s\n--- got ---\n%s", want, got.Bytes())
+	got := renderMemo(t, Params{Quick: true, Seed: 1}, "chaos")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("chaos output diverged from the golden capture\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }

@@ -2,28 +2,75 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
 // renderAll runs the named experiments under p and renders every table into
-// one byte stream.
+// one byte stream. Every call is a fresh run.
 func renderAll(t *testing.T, p Params, names ...string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, name := range names {
-		e, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("experiment %q not registered", name)
-		}
-		tables, err := e.Run(p)
+		tables, err := mustLookup(t, name).Run(p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, tb := range tables {
-			tb.Render(&buf)
-		}
+		renderTables(&buf, tables)
 	}
 	return buf.Bytes()
+}
+
+// renderMemo is renderAll over runMemo: the named experiments' tables under
+// p, run at most once per test binary.
+func renderMemo(t *testing.T, p Params, names ...string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, name := range names {
+		tables, err := runMemo(t, name, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		renderTables(&buf, tables)
+	}
+	return buf.Bytes()
+}
+
+func renderTables(w io.Writer, tables []*Table) {
+	for _, tb := range tables {
+		tb.Render(w)
+	}
+}
+
+// memoKey and memoRuns back runMemo. Experiments are pure functions of their
+// Params (the goldens pin that), so tests that assert different things about
+// the same run share one. Only instrument-free Params are memoized keys in
+// practice: Log, Trace and Obs stay nil in tests.
+type memoKey struct {
+	name string
+	p    Params
+}
+
+type memoRun struct {
+	tables []*Table
+	err    error
+}
+
+var memoRuns = map[memoKey]memoRun{}
+
+// runMemo returns experiment name's result under p, running it only on the
+// first call for that (name, p) in this test binary; later calls, -count
+// repeats included, get the same tables and error. Tests whose point is
+// comparing two fresh runs must call Run directly (renderAll).
+func runMemo(t *testing.T, name string, p Params) ([]*Table, error) {
+	t.Helper()
+	k := memoKey{name, p}
+	r, ok := memoRuns[k]
+	if !ok {
+		r.tables, r.err = mustLookup(t, name).Run(p)
+		memoRuns[k] = r
+	}
+	return r.tables, r.err
 }
 
 // TestSecondSeedDeterminism guards the determinism story beyond the pinned

@@ -7,7 +7,6 @@ import (
 	"github.com/trioml/triogo/internal/netsim"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
-	"github.com/trioml/triogo/internal/trio"
 	"github.com/trioml/triogo/internal/trioml"
 )
 
@@ -128,8 +127,12 @@ type chaosCfg struct {
 // chaosRig wires the §6.3 testbed with fault injection on every link and in
 // the PFE, the job's served-result replay cache on, and checksum-verifying
 // ingress on both the router and the servers.
+//
+// It runs on one partition whatever -partitions says: a partition window
+// runs up to one lookahead past the event that meets the done condition, and
+// the late retransmits it sends draw extra link loss (DESIGN.md §12).
 type chaosRig struct {
-	eng     *sim.Engine
+	*star
 	agg     *trioml.Aggregator
 	clients []*chaosClient
 	links   []*netsim.Link
@@ -137,31 +140,22 @@ type chaosRig struct {
 }
 
 func newChaosRig(cfg chaosCfg) *chaosRig {
-	eng := sim.NewEngine()
-	pcfg := trioml.RecommendedPFEConfig()
-	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: pcfg})
-	agg := trioml.New(r.PFE(0))
-	ports := make([]int, cfg.servers)
-	srcs := make([]uint8, cfg.servers)
-	for i := range ports {
-		ports[i], srcs[i] = i, uint8(i)
-	}
-	if err := agg.InstallJob(trioml.JobConfig{
-		JobID: 1, Sources: srcs, ResultPorts: ports, UpstreamPort: -1,
-		BlockGradMax: cfg.gradsPerPkt, BlockExpiry: cfg.timeout,
-		ResultSpec: packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}},
-	}); err != nil {
-		panic(err)
-	}
+	s := newStar(1, trioml.RecommendedPFEConfig())
+	agg := installAggJob(s, cfg.servers, cfg.gradsPerPkt, cfg.timeout)
 	// Retransmits can race a block's served result; the replay cache answers
 	// them with the original frame instead of re-opening the block.
 	if err := agg.EnableResultReplay(1, 4*cfg.blocks); err != nil {
 		panic(err)
 	}
-	r.PFE(0).SetFaults(cfg.plan.PFE(0))
-	r.PFE(0).Mem.SetFaults(cfg.plan.Mem(0))
-	rig := &chaosRig{eng: eng, agg: agg, cfg: cfg}
-	var decode packet.Frame // router-ingress checksum scratch
+	s.pfe.SetFaults(cfg.plan.PFE(0))
+	s.pfe.Mem.SetFaults(cfg.plan.Mem(0))
+	rig := &chaosRig{star: s, agg: agg, cfg: cfg}
+	// Model Ethernet FCS at the router port: a corrupted frame is dropped
+	// there and repaired by the sender's retransmission.
+	var decode packet.Frame
+	fcs := func(f []byte) bool {
+		return packet.DecodeInto(&decode, f) == nil && decode.VerifyUDPChecksum()
+	}
 	linkCfg := func(id uint64) netsim.LinkConfig {
 		lc := netsim.DefaultLinkConfig()
 		lc.LossProb = cfg.lossProb
@@ -170,20 +164,12 @@ func newChaosRig(cfg chaosCfg) *chaosRig {
 		return lc
 	}
 	for i := 0; i < cfg.servers; i++ {
-		i := i
-		up := netsim.NewLink(eng, linkCfg(uint64(2*i)), func(f []byte, _ sim.Time) {
-			// Model Ethernet FCS at the router port: a corrupted frame is
-			// dropped here and repaired by the sender's retransmission.
-			if err := packet.DecodeInto(&decode, f); err != nil || !decode.VerifyUDPChecksum() {
-				return
-			}
-			r.Inject(0, i, uint64(i), f)
-		})
-		c := &chaosClient{id: i, eng: eng, cfg: cfg,
-			sentAt: make(map[uint32]sim.Time), sigs: make(map[uint32]resultSig),
-			send: func(f []byte) { up.Send(f) }}
-		down := netsim.NewLink(eng, linkCfg(uint64(2*i+1)), c.onFrame)
-		r.AttachExternal(0, i, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
+		h := s.host(i)
+		c := &chaosClient{id: i, eng: h, cfg: cfg, grads: make([]int32, cfg.gradsPerPkt),
+			sentAt: make(map[uint32]sim.Time), sigs: make(map[uint32]resultSig)}
+		up := s.uplink(h, i, uint64(i), linkCfg(uint64(2*i)), fcs)
+		c.send = up.Send
+		down := s.downlink(h, i, linkCfg(uint64(2*i+1)), c.onFrame)
 		rig.clients = append(rig.clients, c)
 		rig.links = append(rig.links, up, down)
 	}
@@ -198,12 +184,7 @@ func (r *chaosRig) run() {
 			c.start()
 		}
 	}
-	deadline := sim.Time(cfg.blocks+2)*8*cfg.timeout + sim.Second
-	for !r.allDone() {
-		if !r.eng.Step() || r.eng.Now() > deadline {
-			break
-		}
-	}
+	r.cluster.Run(r.allDone, sim.Time(cfg.blocks+2)*8*cfg.timeout+sim.Second)
 	for _, c := range r.clients {
 		c.retxH.Stop()
 	}
@@ -259,18 +240,7 @@ func (c *chaosClient) retxTick() {
 	}
 }
 
-func (c *chaosClient) sendBlock(b uint32) {
-	if c.grads == nil {
-		c.grads = make([]int32, c.cfg.gradsPerPkt)
-	}
-	grads := c.grads
-	for i := range grads {
-		grads[i] = int32(c.id + int(b) + i)
-	}
-	c.send(packet.BuildTrioML(packet.UDPSpec{
-		SrcIP: [4]byte{10, 0, 0, byte(c.id + 1)}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
-	}, packet.TrioML{JobID: 1, BlockID: b, SrcID: uint8(c.id), GenID: 1}, grads))
-}
+func (c *chaosClient) sendBlock(b uint32) { c.send(blockFrame(c.id, b, c.grads)) }
 
 func (c *chaosClient) onFrame(frame []byte, at sim.Time) {
 	f := &c.frame

@@ -102,7 +102,7 @@ func DSERunner(p Params) dse.Runner {
 			"rate_grad_per_us": rate,
 			"smem_sram_bytes":  float64(mem.AllocBytes(smem.TierSRAM)),
 			"smem_ops":         float64(mem.TotalOps()),
-			"sim_events":       float64(rig.metrics().Executed),
+			"sim_events":       float64(rig.eng.Executed()),
 			"virtual_ms":       rig.eng.Now().Milliseconds(),
 		}, nil
 	}

@@ -69,7 +69,7 @@ func runFig14(p Params) ([]*Table, error) {
 		maxMs := per.Max() / 1000
 		rows[i] = row{mean: mean, p99: per.Percentile(99) / 1000, max: maxMs}
 		p.logf("fig14: timeout=%dms mean=%.2fms max=%.2fms", int64(ms), mean, maxMs)
-		p.logf("fig14: timeout=%dms sched: %v", int64(ms), rig.metrics())
+		p.logf("fig14: timeout=%dms sched: %v", int64(ms), rig.eng.Metrics())
 		return map[string]float64{"mitigation_mean_ms": mean, "mitigation_max_ms": maxMs}, nil
 	})
 	if err != nil {

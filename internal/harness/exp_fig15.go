@@ -49,7 +49,7 @@ func runFig15(p Params) ([]*Table, error) {
 		}
 		means[i] = lat.Mean()
 		p.logf("fig15: grads=%d latency=%.1fus", grads, means[i])
-		p.logf("fig15: grads=%d sched: %v", grads, rig.metrics())
+		p.logf("fig15: grads=%d sched: %v", grads, rig.eng.Metrics())
 		return map[string]float64{"latency_us": means[i]}, nil
 	})
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
-	"github.com/trioml/triogo/internal/trio"
 	"github.com/trioml/triogo/internal/trioml"
 )
 
@@ -49,7 +48,7 @@ func ddosModel() infnet.Config {
 		Bias1: []int32{32, -32, -1, 0},
 		Shift: 0,
 		Out: [2][]int8{
-			{-1, 1, 1, 1}, // benign score
+			{-1, 1, 1, 1},   // benign score
 			{4, -2, -2, -2}, // attack score
 		},
 		Bias2: [2]int32{1, 0},
@@ -91,9 +90,7 @@ func infTraffic(rng *sim.RNG, idx uint32, attack bool) []byte {
 // infnetRig drives labelled traffic from partition-dealt senders through
 // the classifier PFE and collects what survives on the egress port.
 type infnetRig struct {
-	eng       *sim.Engine
-	cluster   *sim.Cluster
-	router    *trio.Router
+	*star
 	svc       *infnet.Service
 	delivered map[uint32]bool // idx → marked
 	sent      int
@@ -113,37 +110,22 @@ type infnetCfg struct {
 }
 
 func newInfnetRig(cfg infnetCfg) *infnetRig {
-	var cluster *sim.Cluster
-	var eng *sim.Engine
-	if cfg.partitions > 1 {
-		cluster = sim.NewCluster(cfg.partitions)
-		eng = cluster.Engine(0)
-	} else {
-		eng = sim.NewEngine()
-	}
-	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
+	s := newStar(cfg.partitions, trioml.RecommendedPFEConfig())
 	model := ddosModel()
 	model.Mode = cfg.mode
-	svc, err := infnet.Install(r.PFE(0), model)
+	svc, err := infnet.Install(s.pfe, model)
 	if err != nil {
 		panic(err)
 	}
-	rig := &infnetRig{eng: eng, cluster: cluster, router: r, svc: svc,
+	rig := &infnetRig{star: s, svc: svc,
 		delivered: map[uint32]bool{}, labels: map[uint32]bool{}, want: map[uint32]bool{}}
-	if cfg.obsReg != nil {
-		eng.RegisterObs(cfg.obsReg)
-		r.PFE(0).RegisterObs(cfg.obsReg)
-		r.PFE(0).Mem.RegisterObs(cfg.obsReg)
-		if cluster != nil {
-			cluster.RegisterObs(cfg.obsReg)
-		}
-		svc.RegisterObs(cfg.obsReg)
-	}
+	s.registerObs(cfg.obsReg)
+	svc.RegisterObs(cfg.obsReg)
 
 	// The collector reads fixed offsets rather than packet.Decode: the TOS
 	// mark deliberately skips the incremental IP-checksum fix-up (one fewer
 	// instruction in the data path), so marked frames fail strict decode.
-	r.AttachExternal(0, model.EgressPort, func(_ int, f []byte, _ sim.Time) {
+	s.router.AttachExternal(0, model.EgressPort, func(_ int, f []byte, _ sim.Time) {
 		if len(f) < 46 {
 			return
 		}
@@ -151,22 +133,14 @@ func newInfnetRig(cfg infnetCfg) *infnetRig {
 		rig.delivered[idx] = f[15] == 0xE0       // default MarkOff/Mark
 	})
 
-	// Senders on ports 1.., dealt over partitions; each owns an RNG stream
-	// so partition layout never perturbs another sender's sequence.
+	// Senders on ports 1..; each owns an RNG stream so partition layout
+	// never perturbs another sender's sequence.
 	idx := uint32(0)
-	for s := 0; s < cfg.senders; s++ {
-		port := 1 + s
-		senderEng := eng
-		if cluster != nil {
-			senderEng = cluster.Engine(1 + s%(cfg.partitions-1))
-		}
-		// Constant per-sender reorder flow: a shared counter would assign
-		// flow IDs in delivery order, which differs across partition counts.
-		up := netsim.NewLinkBetween(senderEng, eng, netsim.DefaultLinkConfig(), func(f []byte, _ sim.Time) {
-			r.Inject(0, port, uint64(port), f)
-		})
-		rng := sim.NewRNG(cfg.seed, 0x1F0+uint64(s))
-		for i := 0; i < cfg.packets; i++ {
+	for i := 0; i < cfg.senders; i++ {
+		port := 1 + i
+		up := s.uplink(s.host(i), port, uint64(port), netsim.DefaultLinkConfig(), nil)
+		rng := sim.NewRNG(cfg.seed, 0x1F0+uint64(i))
+		for j := 0; j < cfg.packets; j++ {
 			attack := rng.Float64() < cfg.attackFrac
 			f := infTraffic(rng, idx, attack)
 			rig.labels[idx] = attack
@@ -186,16 +160,7 @@ func (r *infnetRig) run() {
 	done := func() bool {
 		return int(r.svc.Stats().Total()) == r.sent && len(r.delivered) == r.expect
 	}
-	deadline := sim.Time(r.sent)*sim.Microsecond + sim.Second
-	if r.cluster != nil {
-		r.cluster.Run(done, deadline)
-	} else {
-		for !done() {
-			if !r.eng.Step() || r.eng.Now() > deadline {
-				break
-			}
-		}
-	}
+	r.cluster.Run(done, sim.Time(r.sent)*sim.Microsecond+sim.Second)
 }
 
 func runInfnet(p Params) ([]*Table, error) {

@@ -10,7 +10,6 @@ import (
 	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
-	"github.com/trioml/triogo/internal/trio"
 	"github.com/trioml/triogo/internal/trioml"
 )
 
@@ -60,16 +59,14 @@ type rpcClient struct {
 }
 
 type netrpcRig struct {
-	eng     *sim.Engine
-	cluster *sim.Cluster
-	router  *trio.Router
+	*star
 	svc     *netrpc.Service
 	origin  *netrpc.Origin
 	clients []*rpcClient
 	cfg     netrpcCfg
 	keys    []uint16 // method ids with pairwise-distinct cache slots
-	spoofs  int // forged responses injected on a client port
-	dups    int // origin retransmits injected on the server port
+	spoofs  int      // forged responses injected on a client port
+	dups    int      // origin retransmits injected on the server port
 }
 
 // slotDisjointKeys picks method ids whose derived rpc ids occupy pairwise
@@ -105,55 +102,28 @@ func refPayload(method uint16, respBytes int) []byte {
 }
 
 func newNetRPCRig(cfg netrpcCfg) *netrpcRig {
-	var cluster *sim.Cluster
-	var eng *sim.Engine
-	if cfg.partitions > 1 {
-		cluster = sim.NewCluster(cfg.partitions)
-		eng = cluster.Engine(0)
-	} else {
-		eng = sim.NewEngine()
-	}
-	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
-	p := r.PFE(0)
-	svc, err := netrpc.Install(p, netrpc.Config{Slots: 4096})
+	s := newStar(cfg.partitions, trioml.RecommendedPFEConfig())
+	svc, err := netrpc.Install(s.pfe, netrpc.Config{Slots: 4096})
 	if err != nil {
 		panic(err)
 	}
-	rig := &netrpcRig{eng: eng, cluster: cluster, router: r, svc: svc,
-		origin: &netrpc.Origin{}, cfg: cfg,
+	rig := &netrpcRig{star: s, svc: svc, origin: &netrpc.Origin{}, cfg: cfg,
 		keys: slotDisjointKeys(cfg.keys, 4096)}
-	if cfg.obsReg != nil {
-		eng.RegisterObs(cfg.obsReg)
-		p.RegisterObs(cfg.obsReg)
-		p.Mem.RegisterObs(cfg.obsReg)
-		if cluster != nil {
-			cluster.RegisterObs(cfg.obsReg)
-		}
-		svc.RegisterObs(cfg.obsReg)
-	}
+	s.registerObs(cfg.obsReg)
+	svc.RegisterObs(cfg.obsReg)
 
 	// Origin server behind a slow link (one-way cfg.originDelay each
 	// direction): requests the cache forwards upstream pay the full metro
-	// round trip; cache hits never leave the rack. In partitioned mode the
-	// origin lives on the last partition so its frames enter the router
-	// through the same deterministic inbox merge as every client's — a local
-	// link's arrivals draw event sequence numbers on a different schedule
-	// than flushed cross-partition messages, which flips virtual-time ties.
-	serverPort := p.Cfg.NumPorts - 1
-	originEng := eng
-	if cluster != nil {
-		originEng = cluster.Engine(cfg.partitions - 1)
-	}
+	// round trip; cache hits never leave the rack. It lives on the last
+	// partition so that, when partitioned, its frames enter the router
+	// through the same inbox merge as every client's (DESIGN.md §12). Its
+	// uplink carries the constant reorder flow 1<<40, clear of client ids.
+	serverPort := s.pfe.Cfg.NumPorts - 1
+	originEng := s.cluster.Engine(s.cluster.Partitions() - 1)
 	slow := netsim.DefaultLinkConfig()
 	slow.Propagation = cfg.originDelay
-	// One constant reorder flow per source (the trioRig idiom): a shared
-	// counter would assign flow IDs in delivery order, which differs between
-	// the single-engine event queue and the partitioned inbox merge.
-	fromOrigin := netsim.NewLinkBetween(originEng, eng, slow, func(f []byte, _ sim.Time) {
-		r.Inject(0, serverPort, 1<<40, f)
-	})
-	dupRNG := sim.NewRNG(cfg.seed, 0xD0B)
-	toOrigin := netsim.NewLinkBetween(eng, originEng, slow, func(f []byte, _ sim.Time) {
+	fromOrigin := s.uplink(originEng, serverPort, 1<<40, slow, nil)
+	s.downlink(originEng, serverPort, slow, func(f []byte, _ sim.Time) {
 		resp := rig.origin.Handle(f)
 		if resp == nil {
 			return
@@ -163,40 +133,29 @@ func newNetRPCRig(cfg netrpcCfg) *netrpcRig {
 		// of responses — the duplicate reaches a served entry and must be
 		// rejected by the pending-only adoption rule.
 		if cfg.dupEvery > 0 && rig.origin.Served%cfg.dupEvery == 0 {
-			_ = dupRNG // reserved for future jittered retransmits
 			rig.dups++
 			fromOrigin.Send(resp)
 		}
 	})
-	r.AttachExternal(0, serverPort, func(_ int, f []byte, _ sim.Time) { toOrigin.Send(f) })
 
 	// Clients on ports 1..clients (port == client id — the cache addresses
-	// replies by forwarding to port client_id), dealt over partitions.
+	// replies by forwarding to port client_id).
 	for i := 0; i < cfg.clients; i++ {
 		id := i + 1
-		clientEng := eng
-		if cluster != nil {
-			clientEng = cluster.Engine(1 + i%(cfg.partitions-1))
-		}
+		h := s.host(i)
 		// Distinct per-client cable lengths (+id ns) keep any two clients'
-		// frames from ever arriving at the exact same nanosecond: same-instant
-		// deliveries to different ports are ordered by emission call order on
-		// one engine but by channel construction order in the partitioned
-		// inbox merge, so exact ties would make output depend on -partitions.
+		// frames from ever arriving at the same nanosecond, where the order
+		// would depend on -partitions (DESIGN.md §12).
 		linkCfg := netsim.DefaultLinkConfig()
 		linkCfg.Propagation += sim.Time(id) * sim.Nanosecond
-		up := netsim.NewLinkBetween(clientEng, eng, linkCfg, func(f []byte, _ sim.Time) {
-			r.Inject(0, id, uint64(id), f)
-		})
 		c := &rpcClient{
-			rig: rig, eng: clientEng, rng: sim.NewRNG(cfg.seed, uint64(id)),
+			rig: rig, eng: h, rng: sim.NewRNG(cfg.seed, uint64(id)),
 			c: netrpc.Client{ID: uint16(id), Spec: packet.UDPSpec{
 				SrcIP: [4]byte{10, 0, 0, byte(id)}, DstIP: [4]byte{10, 0, 0, 200}, SrcPort: 7000,
 			}},
-			send: func(f []byte) { up.Send(f) },
 		}
-		down := netsim.NewLinkBetween(eng, clientEng, linkCfg, c.onFrame)
-		r.AttachExternal(0, id, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
+		c.send = s.uplink(h, id, uint64(id), linkCfg, nil).Send
+		s.downlink(h, id, linkCfg, c.onFrame)
 		rig.clients = append(rig.clients, c)
 	}
 	return rig
@@ -274,16 +233,7 @@ func (r *netrpcRig) run() {
 		}
 		return true
 	}
-	deadline := sim.Time(r.cfg.requests)*100*r.cfg.originDelay + sim.Second
-	if r.cluster != nil {
-		r.cluster.Run(done, deadline)
-	} else {
-		for !done() {
-			if !r.eng.Step() || r.eng.Now() > deadline {
-				break
-			}
-		}
-	}
+	r.cluster.Run(done, sim.Time(r.cfg.requests)*100*r.cfg.originDelay+sim.Second)
 }
 
 func runNetRPC(p Params) ([]*Table, error) {

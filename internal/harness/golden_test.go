@@ -24,23 +24,8 @@ func TestGoldenFig14Fig15Determinism(t *testing.T) {
 		t.Fatalf("reading golden file: %v", err)
 	}
 
-	var got bytes.Buffer
-	params := Params{Quick: true, Seed: 1}
-	for _, name := range []string{"fig14", "fig15"} {
-		e, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("experiment %q not registered", name)
-		}
-		tables, err := e.Run(params)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, tb := range tables {
-			tb.Render(&got)
-		}
-	}
-
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("fig14/fig15 output diverged from the pre-refactor golden capture\n--- want ---\n%s\n--- got ---\n%s", want, got.Bytes())
+	got := renderMemo(t, Params{Quick: true, Seed: 1}, "fig14", "fig15")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fig14/fig15 output diverged from the pre-refactor golden capture\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }

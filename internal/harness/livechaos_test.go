@@ -16,11 +16,7 @@ func TestLiveChaosIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-socket chaos runs")
 	}
-	e, ok := Lookup("livechaos")
-	if !ok {
-		t.Fatal("livechaos experiment not registered")
-	}
-	tables, err := e.Run(Params{Quick: true, Seed: 1})
+	tables, err := runMemo(t, "livechaos", Params{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatalf("livechaos: %v", err)
 	}
@@ -53,16 +49,8 @@ func TestGoldenLiveChaosDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden file: %v", err)
 	}
-	e, _ := Lookup("livechaos")
-	tables, err := e.Run(Params{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatalf("livechaos: %v", err)
-	}
-	var got bytes.Buffer
-	for _, tb := range tables {
-		tb.Render(&got)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("livechaos output diverged from the golden capture\n--- want ---\n%s\n--- got ---\n%s", want, got.Bytes())
+	got := renderMemo(t, Params{Quick: true, Seed: 1}, "livechaos")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("livechaos output diverged from the golden capture\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }

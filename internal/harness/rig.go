@@ -5,23 +5,16 @@ import (
 	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
-	"github.com/trioml/triogo/internal/trio"
 	"github.com/trioml/triogo/internal/trioml"
 )
 
 // trioRig is the §6.3 microbenchmark testbed: N servers on one PFE behind
 // 100 Gbps links, streaming aggregation blocks with a configurable window.
-//
-// With cfg.partitions > 1 the rig is placed across a sim.Cluster: the router
-// (PFE, aggregator, timer threads) owns partition 0 and the servers are dealt
-// round-robin over the remaining partitions, with every server↔router cable
-// crossing a partition boundary. The cables' 500 ns propagation is the
-// conservative lookahead, and results are identical to the single-partition
-// rig at the same seed (pinned by TestCrossPartitionDeterminism).
+// cfg.partitions places it across a sim.Cluster (see star); results are
+// identical at every partition count for the same seed (pinned by
+// TestCrossPartitionDeterminism).
 type trioRig struct {
-	eng     *sim.Engine  // partition 0's engine when partitioned
-	cluster *sim.Cluster // nil when cfg.partitions <= 1
-	router  *trio.Router
+	*star
 	agg     *trioml.Aggregator
 	clients []*streamClient
 	cfg     rigConfig
@@ -34,7 +27,7 @@ type rigConfig struct {
 	window       int
 	timeout      sim.Time
 	timerThreads int
-	partitions   int // <=1: one engine; >1: sim.Cluster with router on partition 0
+	partitions   int           // sim.Cluster partitions; <=1 runs serially
 	silent       map[int]bool  // servers that never send (stragglers)
 	trace        *obs.Trace    // nil: tracing off (the default)
 	obsReg       *obs.Registry // nil: metrics off; sweeps rebind func series to the latest rig
@@ -64,7 +57,7 @@ type streamClient struct {
 	lat    sim.Sample
 	doneAt sim.Time
 
-	grads []int32      // send-side scratch; BuildTrioML copies it out
+	grads []int32      // send-side scratch for blockFrame
 	frame packet.Frame // receive-side decode scratch
 }
 
@@ -74,14 +67,6 @@ func newTrioRig(cfg rigConfig) *trioRig {
 	}
 	if cfg.timerThreads == 0 {
 		cfg.timerThreads = 100
-	}
-	var cluster *sim.Cluster
-	var eng *sim.Engine
-	if cfg.partitions > 1 {
-		cluster = sim.NewCluster(cfg.partitions)
-		eng = cluster.Engine(0)
-	} else {
-		eng = sim.NewEngine()
 	}
 	pcfg := trioml.RecommendedPFEConfig()
 	if cfg.numPPEs > 0 {
@@ -99,38 +84,11 @@ func newTrioRig(cfg rigConfig) *trioRig {
 	if cfg.dramLatencyNs > 0 {
 		pcfg.Mem.DRAMLatency = sim.Time(cfg.dramLatencyNs) * sim.Nanosecond
 	}
-	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: pcfg})
-	agg := trioml.New(r.PFE(0))
-	ports := make([]int, cfg.servers)
-	srcs := make([]uint8, cfg.servers)
-	for i := range ports {
-		ports[i], srcs[i] = i, uint8(i)
-	}
-	if err := agg.InstallJob(trioml.JobConfig{
-		JobID: 1, Sources: srcs, ResultPorts: ports, UpstreamPort: -1,
-		BlockGradMax: cfg.gradsPerPkt, BlockExpiry: cfg.timeout,
-		ResultSpec: packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}},
-	}); err != nil {
-		panic(err)
-	}
-	rig := &trioRig{eng: eng, cluster: cluster, router: r, agg: agg, cfg: cfg}
-	r.PFE(0).SetTrace(cfg.trace)
-	if cfg.obsReg != nil {
-		// Partitioned rigs export the router partition's engine (where the
-		// aggregation work lives) plus the cluster's per-partition series.
-		eng.RegisterObs(cfg.obsReg)
-		r.PFE(0).RegisterObs(cfg.obsReg)
-		r.PFE(0).Mem.RegisterObs(cfg.obsReg)
-		if cluster != nil {
-			cluster.RegisterObs(cfg.obsReg)
-		}
-	}
+	s := newStar(cfg.partitions, pcfg)
+	rig := &trioRig{star: s, agg: installAggJob(s, cfg.servers, cfg.gradsPerPkt, cfg.timeout), cfg: cfg}
+	s.pfe.SetTrace(cfg.trace)
+	s.registerObs(cfg.obsReg)
 	for i := 0; i < cfg.servers; i++ {
-		i := i
-		clientEng := eng
-		if cluster != nil {
-			clientEng = cluster.Engine(1 + i%(cfg.partitions-1))
-		}
 		upCfg := netsim.DefaultLinkConfig()
 		if cfg.linkLoss > 0 {
 			// Loss on the worker→router direction only: dropped
@@ -139,16 +97,45 @@ func newTrioRig(cfg rigConfig) *trioRig {
 			upCfg.LossProb = cfg.linkLoss
 			upCfg.LossSeed = cfg.lossSeed + uint64(i)
 		}
-		up := netsim.NewLinkBetween(clientEng, eng, upCfg, func(f []byte, _ sim.Time) {
-			r.Inject(0, i, uint64(i), f)
-		})
-		c := &streamClient{id: i, eng: clientEng, cfg: cfg, sentAt: make(map[uint32]sim.Time),
-			send: func(f []byte) { up.Send(f) }}
-		down := netsim.NewLinkBetween(eng, clientEng, netsim.DefaultLinkConfig(), c.onFrame)
-		r.AttachExternal(0, i, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
+		h := s.host(i)
+		c := &streamClient{id: i, eng: h, cfg: cfg, sentAt: make(map[uint32]sim.Time),
+			grads: make([]int32, cfg.gradsPerPkt)}
+		c.send = s.uplink(h, i, uint64(i), upCfg, nil).Send
+		s.downlink(h, i, netsim.DefaultLinkConfig(), c.onFrame)
 		rig.clients = append(rig.clients, c)
 	}
 	return rig
+}
+
+// installAggJob installs the testbed's Trio-ML job 1 on the star's PFE:
+// servers 0..n-1 contribute on ports 0..n-1 and every result is multicast
+// back to all of them.
+func installAggJob(s *star, servers, gradsPerPkt int, expiry sim.Time) *trioml.Aggregator {
+	agg := trioml.New(s.pfe)
+	ports := make([]int, servers)
+	srcs := make([]uint8, servers)
+	for i := range ports {
+		ports[i], srcs[i] = i, uint8(i)
+	}
+	if err := agg.InstallJob(trioml.JobConfig{
+		JobID: 1, Sources: srcs, ResultPorts: ports, UpstreamPort: -1,
+		BlockGradMax: gradsPerPkt, BlockExpiry: expiry,
+		ResultSpec: packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}},
+	}); err != nil {
+		panic(err)
+	}
+	return agg
+}
+
+// blockFrame builds server id's contribution to block b of job 1, filling
+// the caller's scratch vector grads (BuildTrioML copies it out).
+func blockFrame(id int, b uint32, grads []int32) []byte {
+	for i := range grads {
+		grads[i] = int32(id + int(b) + i)
+	}
+	return packet.BuildTrioML(packet.UDPSpec{
+		SrcIP: [4]byte{10, 0, 0, byte(id + 1)}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
+	}, packet.TrioML{JobID: 1, BlockID: b, SrcID: uint8(id), GenID: 1}, grads)
 }
 
 // run streams all blocks and returns when every client finished, with timer
@@ -158,54 +145,28 @@ func (r *trioRig) run() {
 	stop := r.agg.StartStragglerDetection(cfg.timerThreads, cfg.timeout)
 	for _, c := range r.clients {
 		if !cfg.silent[c.id] {
-			c.start()
+			c.pump()
 		}
 	}
-	deadline := sim.Time(cfg.blocks+2)*4*cfg.timeout + sim.Second
-	if r.cluster != nil {
-		r.cluster.Run(func() bool { return r.allDone(cfg) }, deadline)
-	} else {
-		for !r.allDone(cfg) {
-			if !r.eng.Step() || r.eng.Now() > deadline {
-				break
-			}
-		}
-	}
+	r.cluster.Run(r.allDone, sim.Time(cfg.blocks+2)*4*cfg.timeout+sim.Second)
 	stop.Stop()
 }
 
-// metrics exposes the engine's self-instrumentation for experiment logging.
-func (r *trioRig) metrics() sim.Metrics { return r.eng.Metrics() }
-
-func (r *trioRig) allDone(cfg rigConfig) bool {
+func (r *trioRig) allDone() bool {
 	for _, c := range r.clients {
-		if cfg.silent[c.id] {
-			continue
-		}
-		if c.done < cfg.blocks {
+		if !r.cfg.silent[c.id] && c.done < r.cfg.blocks {
 			return false
 		}
 	}
 	return true
 }
 
-func (c *streamClient) start() { c.pump() }
-
 func (c *streamClient) pump() {
 	for c.next-c.done < c.cfg.window && c.next < c.cfg.blocks {
 		b := uint32(c.next)
 		c.next++
 		c.sentAt[b] = c.eng.Now()
-		if c.grads == nil {
-			c.grads = make([]int32, c.cfg.gradsPerPkt)
-		}
-		grads := c.grads
-		for i := range grads {
-			grads[i] = int32(c.id + int(b) + i)
-		}
-		c.send(packet.BuildTrioML(packet.UDPSpec{
-			SrcIP: [4]byte{10, 0, 0, byte(c.id + 1)}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
-		}, packet.TrioML{JobID: 1, BlockID: b, SrcID: uint8(c.id), GenID: 1}, grads))
+		c.send(blockFrame(c.id, b, c.grads))
 	}
 }
 

@@ -77,7 +77,10 @@ func TestWorkerChurnRace(t *testing.T) {
 	// churn can leave the server's socket buffer brimming, so the kernel is
 	// allowed to drop these datagrams — resend until the full result lands
 	// (duplicates are deduped server-side, and a partial that aged out
-	// mid-retry arrives flagged degraded, which we skip).
+	// mid-retry arrives flagged degraded, which we skip). A churn block that
+	// completes late is multicast to the addresses now registered for its
+	// sources, which are c0's and c1's, so results for other blocks are
+	// skipped too.
 	c0 := newTestClient(t, s, 0)
 	c1 := newTestClient(t, s, 1)
 	deadline := time.Now().Add(10 * time.Second)
@@ -90,7 +93,7 @@ func TestWorkerChurnRace(t *testing.T) {
 		}
 		select {
 		case r := <-c0.Results():
-			if r.Degraded {
+			if r.Degraded || r.BlockID != 1<<30 {
 				continue
 			}
 			if len(r.Grads) != 1 || r.Grads[0] != 12 {

@@ -3,9 +3,9 @@
 // 16-bit generation, with FIFO eviction.
 //
 // The structure was extracted from hostagg's ReplayWindow (PR 4), where it
-// answers retransmits for already-served aggregation blocks, and is reused
-// verbatim by apps/netrpc's host-side result store. The design constraints
-// it inherits:
+// answers retransmits for already-served aggregation blocks; it also holds
+// trioml.Aggregator's served Result frames (EnableResultReplay). The design
+// constraints it inherits:
 //
 //   - Bounded memory: the window is fixed at construction; inserting the
 //     (window+1)-th entry evicts the oldest, whatever its age. There is no
@@ -19,7 +19,7 @@
 //     overwrote it.
 //
 // The cache is not goroutine-safe; hostagg guards each instance with its
-// shard lock, netrpc with the server loop.
+// shard lock, and the aggregator runs on its PFE's simulation engine.
 package replay
 
 // Cache retains the last Window distinct inserts, mapping key -> (gen, V).

@@ -6,9 +6,10 @@ import (
 	"github.com/trioml/triogo/internal/obs"
 )
 
-// The benchmarks below are tracked in BENCH_sim.json via `make bench-sim`.
-// BenchmarkEngineScheduleFireArg is the headline: steady-state arg-based
-// schedule+fire must report 0 allocs/op.
+// Run these with `go test -bench Engine -benchmem`; the repository's
+// end-to-end benchmark (perfbench) reports the engine's share as sim.* and
+// cpu.sim. BenchmarkEngineScheduleFireArg is the headline: steady-state
+// arg-based schedule+fire must report 0 allocs/op.
 
 type benchPayload struct{ fired uint64 }
 

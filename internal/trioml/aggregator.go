@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/trioml/triogo/internal/packet"
+	"github.com/trioml/triogo/internal/replay"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio/pfe"
 	"github.com/trioml/triogo/internal/trio/smem"
@@ -92,27 +93,13 @@ type jobState struct {
 	bufOf    map[uint64]uint64 // hash key -> buffer, for pool recycling
 	demoted  map[uint8]bool    // sources removed by advanced mitigation
 
-	// Served-result replay cache (EnableResultReplay; nil when off). A
+	// Served-result replay cache (EnableResultReplay; nil when off), keyed
+	// by block hash key and holding each emitted Result frame. A
 	// contribution for a block whose result was already emitted gets the
 	// original Result frame re-sent instead of recreating a one-source
 	// record — the end-host retry idempotence NetRPC argues in-network
-	// compute needs. Host-side control-plane state, bounded by servedCap.
-	served     map[uint64]*servedResult
-	servedRing []servedKey
-	servedHead int
-	servedCap  int
-}
-
-type servedResult struct {
-	genID uint16
-	frame []byte
-}
-
-// servedKey is one FIFO-eviction slot; the generation disambiguates a ring
-// slot from a later re-serve of the same block id.
-type servedKey struct {
-	key uint64
-	gen uint16
+	// compute needs. Host-side control-plane state, bounded by its window.
+	served *replay.Cache[[]byte]
 }
 
 // Aggregator is the Trio-ML application on one PFE.
@@ -248,31 +235,8 @@ func (a *Aggregator) EnableResultReplay(jobID uint8, window int) error {
 	if window <= 0 {
 		window = 1024
 	}
-	js.served = make(map[uint64]*servedResult, window)
-	js.servedCap = window
+	js.served = replay.New[[]byte](window)
 	return nil
-}
-
-// cacheServed retains a just-emitted Result frame for replay, evicting the
-// oldest entries beyond the window.
-func (js *jobState) cacheServed(key uint64, gen uint16, frame []byte) {
-	if old := js.served[key]; old != nil {
-		old.genID, old.frame = gen, frame
-	} else {
-		js.served[key] = &servedResult{genID: gen, frame: frame}
-	}
-	js.servedRing = append(js.servedRing, servedKey{key: key, gen: gen})
-	for len(js.servedRing)-js.servedHead > js.servedCap {
-		k := js.servedRing[js.servedHead]
-		js.servedHead++
-		if sr := js.served[k.key]; sr != nil && sr.genID == k.gen {
-			delete(js.served, k.key)
-		}
-	}
-	if js.servedHead > js.servedCap {
-		js.servedRing = append(js.servedRing[:0], js.servedRing[js.servedHead:]...)
-		js.servedHead = 0
-	}
 }
 
 // RemoveJob tears a job down (control plane). Outstanding blocks are
@@ -352,19 +316,19 @@ func (a *Aggregator) Process(ctx *pfe.Ctx) {
 		// retransmit whose Result got lost — replay the cached frame (when
 		// the cache is on) instead of recreating a one-source record.
 		if js != nil && js.served != nil {
-			if sr := js.served[blockKey]; sr != nil {
+			if frame, gen, ok := js.served.Lookup(blockKey); ok {
 				switch {
-				case h.GenID == sr.genID:
-					a.replayResult(ctx, js, sr)
+				case h.GenID == gen:
+					a.replayResult(ctx, js, frame)
 					return
-				case genOlder(h.GenID, sr.genID):
+				case genOlder(h.GenID, gen):
 					a.stats.StaleDrops++
 					ctx.Drop()
 					return
 				default:
 					// A newer generation reuses the block id; the cached
 					// result is dead.
-					delete(js.served, blockKey)
+					js.served.Delete(blockKey)
 				}
 			}
 		}
@@ -607,7 +571,7 @@ func (a *Aggregator) finishBlock(ctx *pfe.Ctx, js *jobState, blockKey uint64, re
 		}
 	}
 	if js.served != nil {
-		js.cacheServed(blockKey, rec.GenID, frame)
+		js.served.Put(blockKey, rec.GenID, frame)
 	}
 	a.stats.ResultsEmitted++
 	if degraded {
@@ -636,13 +600,13 @@ func (a *Aggregator) finishBlock(ctx *pfe.Ctx, js *jobState, blockKey uint64, re
 // contribution to an already-served block. The replayed bytes are the exact
 // frame the block's completion emitted, so every source converges on
 // identical sums no matter how many Result deliveries were lost.
-func (a *Aggregator) replayResult(ctx *pfe.Ctx, js *jobState, sr *servedResult) {
+func (a *Aggregator) replayResult(ctx *pfe.Ctx, js *jobState, frame []byte) {
 	ctx.ChargeInstr(instrResultHeader)
 	if js.cfg.UpstreamPort >= 0 {
-		ctx.Emit(js.cfg.UpstreamPort, sr.frame)
+		ctx.Emit(js.cfg.UpstreamPort, frame)
 	} else {
 		for _, p := range js.cfg.ResultPorts {
-			ctx.Emit(p, sr.frame)
+			ctx.Emit(p, frame)
 		}
 	}
 	a.stats.ResultReplays++
