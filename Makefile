@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet verify smoke-examples
+.PHONY: build test vet fmt-check verify smoke-examples
 
 build:
 	$(GO) build ./...
@@ -11,12 +11,16 @@ test:
 vet:
 	$(GO) vet ./...
 
-# verify is the extended gate: whole-repo vet and race-enabled tests (every
-# golden, determinism and fuzz-corpus replay included), the metric
-# documentation check, a short fresh-input run of the hostagg wire fuzzer,
-# the perfbench module (its own go.mod keeps it out of ./...), and an
-# every-example smoke run.
-verify: vet
+# fmt-check fails when any Go file in the tree is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# verify is the extended gate: the gofmt check, whole-repo vet and
+# race-enabled tests (every golden, determinism and fuzz-corpus replay
+# included), the metric documentation check, a short fresh-input run of the
+# hostagg wire fuzzer, the perfbench module (its own go.mod keeps it out of
+# ./...), and an every-example smoke run.
+verify: fmt-check vet
 	$(GO) test -race ./...
 	$(GO) run ./tools/obscheck
 	$(GO) test -fuzz=FuzzHandle -fuzztime=10s -run FuzzHandle ./internal/hostagg/

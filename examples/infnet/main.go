@@ -67,7 +67,7 @@ func main() {
 	router.AttachExternal(0, model.EgressPort, func(_ int, f []byte, _ sim.Time) {
 		for i, p := range probes {
 			if len(f) == len(p.frame) {
-				marked[i] = f[15] == 0xE0 // default MarkOff/Mark
+				marked[i] = f[infnet.MarkOff] == infnet.Mark
 			}
 		}
 	})

@@ -45,6 +45,13 @@ const (
 	ModeShed
 )
 
+// MarkOff and Mark are the in-place flag of ModeFlag: frame byte MarkOff
+// (the IPv4 TOS byte) is overwritten with Mark on attack packets.
+const (
+	MarkOff       = 15
+	Mark    uint8 = 0xE0
+)
+
 // Counter indices (16-byte RMW Packet/Byte Counters at CtrBase).
 const (
 	ctrBenign = iota
@@ -76,21 +83,6 @@ type Config struct {
 	Mode Mode
 	// EgressPort is where forwarded traffic leaves the PFE.
 	EgressPort int
-	// MarkOff / Mark are the in-place flag for ModeFlag: frame byte
-	// MarkOff is overwritten with Mark on attack packets. Defaults: 15
-	// (the IPv4 TOS byte) and 0xE0.
-	MarkOff int
-	Mark    uint8
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.MarkOff == 0 {
-		cfg.MarkOff = 15
-	}
-	if cfg.Mark == 0 {
-		cfg.Mark = 0xE0
-	}
-	return cfg
 }
 
 func (cfg Config) check() error {
@@ -122,9 +114,6 @@ func (cfg Config) check() error {
 	if cfg.Shift > maxShift {
 		return fmt.Errorf("infnet: shift %d out of range", cfg.Shift)
 	}
-	if cfg.MarkOff < 0 || cfg.MarkOff >= microcode.LMemBytes {
-		return fmt.Errorf("infnet: mark offset %d outside local memory", cfg.MarkOff)
-	}
 	if cfg.EgressPort < 0 {
 		return fmt.Errorf("infnet: egress port must be non-negative")
 	}
@@ -143,7 +132,6 @@ type Decision struct {
 // the generated program (wrapping uint64 arithmetic, mask-based ReLU,
 // logical shifts), so microcode execution must reproduce it bit for bit.
 func (cfg Config) Classify(frame []byte) Decision {
-	cfg = cfg.withDefaults()
 	x := make([]uint64, len(cfg.Features))
 	for i, off := range cfg.Features {
 		if off < len(frame) {
@@ -264,7 +252,7 @@ func source(cfg Config, ctrBase uint64) string {
 		fmt.Fprintf(&b, "attack:\nbegin\n    counter_inc(CTR_BASE + %d, 1);\n    exit(drop);\nend\n", 16*ctrAttack)
 	} else {
 		fmt.Fprintf(&b, "attack:\nbegin\n    counter_inc(CTR_BASE + %d, 1);\n    lmem8[%d] = %d;\n    exit(forward);\nend\n",
-			16*ctrAttack, cfg.MarkOff, cfg.Mark)
+			16*ctrAttack, MarkOff, Mark)
 	}
 	return b.String()
 }
@@ -273,7 +261,6 @@ func source(cfg Config, ctrBase uint64) string {
 // Exported so program-level DSE and benchmarks can build variants without
 // provisioning a PFE.
 func Program(cfg Config, ctrBase uint64) (*microcode.Program, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
@@ -317,7 +304,6 @@ func (s *Service) Config() Config { return s.cfg }
 // program through the v2 verify/compile pipeline, and installs it as p's
 // application.
 func Install(p *pfe.PFE, cfg Config) (*Service, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}

@@ -98,19 +98,19 @@ type Config struct {
 	// ServerPort is the port facing the origin server: requests egress
 	// here, and responses are only trusted from here. Default NumPorts-1.
 	ServerPort int
-	// AgePeriod enables TTL aging when nonzero: AgeParts timer threads
+	// AgePeriod enables TTL aging when nonzero: ageParts timer threads
 	// sweep the hash table every AgePeriod, expiring entries not referenced
-	// since the previous sweep (REF-flag aging, §5). AgeParts defaults to 4.
+	// since the previous sweep (REF-flag aging, §5).
 	AgePeriod sim.Time
-	AgeParts  int
 }
+
+// ageParts is the number of phase-staggered aging timer threads, each
+// sweeping one partition of the hash table.
+const ageParts = 4
 
 func (cfg Config) withDefaults() Config {
 	if cfg.RespBytes == 0 {
 		cfg.RespBytes = 32
-	}
-	if cfg.AgeParts == 0 {
-		cfg.AgeParts = 4
 	}
 	return cfg
 }
@@ -622,7 +622,7 @@ func Install(p *pfe.PFE, cfg Config) (*Service, error) {
 	s.App = app
 	p.SetApp(app)
 	if cfg.AgePeriod > 0 {
-		s.Timers = p.StartTimerThreads(cfg.AgeParts, cfg.AgePeriod, s.ageSweep)
+		s.Timers = p.StartTimerThreads(ageParts, cfg.AgePeriod, s.ageSweep)
 	}
 	return s, nil
 }
@@ -657,7 +657,7 @@ func (s *Service) finish(th *microcode.Thread, ctx *pfe.Ctx, v microcode.Verdict
 // the hash engine and their slot records freed for reclamation.
 func (s *Service) ageSweep(ctx *pfe.Ctx, part int) {
 	var zero [recBytes]byte
-	ctx.ScanHashPartition(part, s.cfg.AgeParts, func(key, val uint64, ref bool) hasheng.ScanAction {
+	ctx.ScanHashPartition(part, ageParts, func(key, val uint64, ref bool) hasheng.ScanAction {
 		if ref {
 			return hasheng.ScanClearRef
 		}

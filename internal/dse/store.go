@@ -104,9 +104,6 @@ func OpenStore(path string) (*Store, error) {
 	return s, nil
 }
 
-// Path reports the file backing the store.
-func (s *Store) Path() string { return s.path }
-
 // Completed returns the trials already persisted, in trial order — always a
 // gap-free prefix 0..k-1 of the sweep.
 func (s *Store) Completed() []Result {

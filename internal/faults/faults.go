@@ -54,13 +54,20 @@ type Window struct {
 // draws happen after serialization (the sender spent the bandwidth), like
 // netsim's native LossProb.
 type LinkConfig struct {
-	CorruptProb  float64  // flip one uniformly-chosen bit in the frame
-	DupProb      float64  // deliver a second copy DupDelay later
-	ReorderProb  float64  // delay delivery by an extra ReorderDelay
-	DupDelay     sim.Time // default 1 µs
-	ReorderDelay sim.Time // default 5 µs
-	Flaps        []Window // link-down windows: every frame sent inside one is lost
+	CorruptProb float64  // flip one uniformly-chosen bit in the frame
+	DupProb     float64  // deliver a second copy 1 µs later
+	ReorderProb float64  // delay delivery by an extra 5 µs
+	Flaps       []Window // link-down windows: every frame sent inside one is lost
 }
+
+// Fixed fault timings: the offset of a duplicate's arrival, the extra delay
+// of a reordered frame, and the range a PPE stall is drawn from.
+const (
+	dupDelay     = sim.Microsecond
+	reorderDelay = 5 * sim.Microsecond
+	stallMin     = 10 * sim.Microsecond
+	stallMax     = 100 * sim.Microsecond
+)
 
 func (c LinkConfig) enabled() bool {
 	return c.CorruptProb > 0 || c.DupProb > 0 || c.ReorderProb > 0 || len(c.Flaps) > 0
@@ -68,11 +75,9 @@ func (c LinkConfig) enabled() bool {
 
 // PFEConfig selects PPE thread-stall injection: each work item (packet or
 // timer firing) stalls with StallProb for a duration uniform in
-// [StallMin, StallMax].
+// [10 µs, 100 µs).
 type PFEConfig struct {
 	StallProb float64
-	StallMin  sim.Time // default 10 µs
-	StallMax  sim.Time // default 100 µs
 }
 
 // MemConfig selects RMW bank-error injection: each engine request hits a
@@ -92,14 +97,14 @@ type HostaggConfig struct {
 }
 
 // TrainConfig selects worker crash/rejoin injection for mltrain clusters:
-// per (iteration, worker), a crash with CrashProb, starting CrashAfter into
-// the iteration and lasting Downtime, both drawn uniformly from their
-// ranges. Zero ranges are filled by the cluster from the model's typical
-// iteration time.
+// per (iteration, worker), a crash with CrashProb, starting uniformly in
+// [0, CrashAfterMax) into the iteration and lasting uniformly in
+// [DowntimeMin, DowntimeMax). Zero ranges are filled by the cluster from the
+// model's typical iteration time.
 type TrainConfig struct {
-	CrashProb                    float64
-	CrashAfterMin, CrashAfterMax sim.Time
-	DowntimeMin, DowntimeMax     sim.Time
+	CrashProb                float64
+	CrashAfterMax            sim.Time
+	DowntimeMin, DowntimeMax sim.Time
 }
 
 // Config assembles one Plan's fault selection across every layer.
@@ -144,21 +149,8 @@ type Plan struct {
 	trainCrashes        atomic.Uint64
 }
 
-// NewPlan builds a fault plan. Range defaults: DupDelay 1 µs, ReorderDelay
-// 5 µs, Stall [10 µs, 100 µs], RetryCycles 64.
+// NewPlan builds a fault plan. A zero RetryCycles defaults to 64.
 func NewPlan(seed uint64, cfg Config) *Plan {
-	if cfg.Link.DupDelay == 0 {
-		cfg.Link.DupDelay = sim.Microsecond
-	}
-	if cfg.Link.ReorderDelay == 0 {
-		cfg.Link.ReorderDelay = 5 * sim.Microsecond
-	}
-	if cfg.PFE.StallMin == 0 {
-		cfg.PFE.StallMin = 10 * sim.Microsecond
-	}
-	if cfg.PFE.StallMax == 0 {
-		cfg.PFE.StallMax = 100 * sim.Microsecond
-	}
 	if cfg.Mem.RetryCycles == 0 {
 		cfg.Mem.RetryCycles = 64
 	}
@@ -240,11 +232,11 @@ func (f *LinkInjector) Decide(now sim.Time, frameBits int) LinkVerdict {
 	}
 	if f.cfg.DupProb > 0 && f.rng.Bernoulli(f.cfg.DupProb) {
 		v.Duplicate = true
-		v.DupDelay = f.cfg.DupDelay
+		v.DupDelay = dupDelay
 		f.plan.linkDuplicates.Add(1)
 	}
 	if f.cfg.ReorderProb > 0 && f.rng.Bernoulli(f.cfg.ReorderProb) {
-		v.ExtraDelay = f.cfg.ReorderDelay
+		v.ExtraDelay = reorderDelay
 		f.plan.linkReorders.Add(1)
 	}
 	return v
@@ -272,7 +264,7 @@ func (f *PFEInjector) Stall() sim.Time {
 	if !f.rng.Bernoulli(f.cfg.StallProb) {
 		return 0
 	}
-	d := f.rng.UniformTime(f.cfg.StallMin, f.cfg.StallMax)
+	d := f.rng.UniformTime(stallMin, stallMax)
 	f.plan.ppeStalls.Add(1)
 	f.plan.ppeStallNs.Add(uint64(d))
 	return d
@@ -398,7 +390,7 @@ func (t *TrainInjector) draws(iter int) []crashDraw {
 		if rng.Bernoulli(t.cfg.CrashProb) {
 			d = append(d, crashDraw{
 				worker: w,
-				after:  rng.UniformTime(t.cfg.CrashAfterMin, t.cfg.CrashAfterMax),
+				after:  rng.UniformTime(0, t.cfg.CrashAfterMax),
 				down:   rng.UniformTime(t.cfg.DowntimeMin, t.cfg.DowntimeMax),
 			})
 		}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"github.com/trioml/triogo/internal/faults"
 	"github.com/trioml/triogo/internal/netsim"
@@ -78,15 +79,6 @@ var chaosFaults = []chaosFault{
 type resultSig struct {
 	srcCnt uint8
 	hash   uint64
-}
-
-func hashBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // chaosClient is a streaming server hardened for a lossy fabric: it verifies
@@ -259,7 +251,9 @@ func (c *chaosClient) onFrame(frame []byte, at sim.Time) {
 	if lat := at - sent; lat > c.maxLat {
 		c.maxLat = lat
 	}
-	c.sigs[f.ML.BlockID] = resultSig{srcCnt: f.ML.SrcCnt, hash: hashBytes(f.Payload)}
+	h := fnv.New64a()
+	h.Write(f.Payload)
+	c.sigs[f.ML.BlockID] = resultSig{srcCnt: f.ML.SrcCnt, hash: h.Sum64()}
 	c.done++
 	c.doneAt = at
 	c.pump()

@@ -130,7 +130,7 @@ func newInfnetRig(cfg infnetCfg) *infnetRig {
 			return
 		}
 		idx := binary.BigEndian.Uint32(f[42:46]) // UDP payload head
-		rig.delivered[idx] = f[15] == 0xE0       // default MarkOff/Mark
+		rig.delivered[idx] = f[infnet.MarkOff] == infnet.Mark
 	})
 
 	// Senders on ports 1..; each owns an RNG stream so partition layout

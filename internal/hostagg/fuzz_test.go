@@ -18,8 +18,8 @@ func FuzzHandle(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
-	f.Add(valid[:packet.TrioMLHeaderLen-1]) // truncated header
-	f.Add(valid[:len(valid)-2])             // truncated body
+	f.Add(valid[:packet.TrioMLHeaderLen-1])                     // truncated header
+	f.Add(valid[:len(valid)-2])                                 // truncated body
 	f.Add(append(append([]byte{}, valid...), 0xEE, 0xEE, 0xEE)) // oversized body
 	f.Add(buildContribution(1, 7, 63, 1, []int32{1}))           // src beyond fleet
 	f.Add(packet.BuildRetryAfter(packet.TrioML{JobID: 1}, packet.RetryReasonQuota, 20))

@@ -63,11 +63,9 @@ type ServerConfig struct {
 
 	// TenantQuotas configures per-tenant admission quotas, keyed by tenant
 	// id. Jobs map to tenants through JobTenants; unmapped jobs get a tenant
-	// of their own job id (one-tenant-per-job).
+	// of their own job id (one-tenant-per-job). Tenants without an entry
+	// have no per-tenant limits.
 	TenantQuotas map[uint8]TenantQuota
-	// DefaultTenantQuota applies to tenants without an entry in
-	// TenantQuotas. The zero value means no per-tenant limits.
-	DefaultTenantQuota TenantQuota
 	// JobTenants maps job ids to tenant ids, letting several jobs share one
 	// tenant's quotas. Jobs absent from the map are their own tenant.
 	JobTenants map[uint8]uint8
@@ -262,7 +260,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		shards:     make([]*shard, cfg.Shards),
 		shardShift: uint(64 - bits.Len(uint(cfg.Shards-1))),
 		workers:    make(map[uint16]*net.UDPAddr),
-		tenants:    newTenantTable(cfg.TenantQuotas, cfg.JobTenants, cfg.DefaultTenantQuota),
+		tenants:    newTenantTable(cfg.TenantQuotas, cfg.JobTenants),
 		closed:     make(chan struct{}),
 	}
 	for i := range s.shards {

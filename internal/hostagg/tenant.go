@@ -105,12 +105,12 @@ func (tn *tenantState) allowPacket(now time.Time) bool {
 
 // tenantTable maps jobs to tenants. Jobs not explicitly mapped get a tenant
 // of their own job id (one-tenant-per-job), created lazily on first packet
-// with the default quota. The job→tenant fast path is a single atomic load.
+// with the zero (unlimited) quota. The job→tenant fast path is a single
+// atomic load.
 type tenantTable struct {
 	byJob [256]atomic.Pointer[tenantState]
 
-	mu  sync.Mutex
-	def TenantQuota
+	mu sync.Mutex
 
 	quotas map[uint8]TenantQuota
 	jobMap map[uint8]uint8
@@ -119,8 +119,8 @@ type tenantTable struct {
 	all atomic.Pointer[[]*tenantState] // append-only snapshot for scans
 }
 
-func newTenantTable(quotas map[uint8]TenantQuota, jobMap map[uint8]uint8, def TenantQuota) *tenantTable {
-	t := &tenantTable{def: def, quotas: quotas, jobMap: jobMap, byID: make(map[uint8]*tenantState)}
+func newTenantTable(quotas map[uint8]TenantQuota, jobMap map[uint8]uint8) *tenantTable {
+	t := &tenantTable{quotas: quotas, jobMap: jobMap, byID: make(map[uint8]*tenantState)}
 	empty := []*tenantState{}
 	t.all.Store(&empty)
 	// Tenants with explicit quotas (or named as a job's tenant) exist from
@@ -141,11 +141,7 @@ func (t *tenantTable) tenantLocked(id uint8) *tenantState {
 	if tn := t.byID[id]; tn != nil {
 		return tn
 	}
-	q, ok := t.quotas[id]
-	if !ok {
-		q = t.def
-	}
-	tn := &tenantState{id: id, quota: q}
+	tn := &tenantState{id: id, quota: t.quotas[id]}
 	t.byID[id] = tn
 	cur := *t.all.Load()
 	next := make([]*tenantState, len(cur)+1)

@@ -82,11 +82,6 @@ func RField(r int, off, width uint) Operand {
 // L returns a local-memory bit-field operand at absolute bit offset off.
 func L(off, width uint) Operand { return Operand{Kind: LMem, Off: off, Width: width} }
 
-// LByte returns a local-memory operand addressed in bytes.
-func LByte(byteOff int, widthBytes int) Operand {
-	return Operand{Kind: LMem, Off: uint(byteOff) * 8, Width: uint(widthBytes) * 8}
-}
-
 // LPtr returns a pointer-register local-memory operand: width bits at byte
 // address Regs[reg] + byteOff.
 func LPtr(reg int, byteOff int, width uint) Operand {

@@ -36,6 +36,9 @@ func (s System) String() string {
 	return fmt.Sprintf("System(%d)", int(s))
 }
 
+// linkBandwidth is the line rate of every worker link: the 100 Gbps testbed.
+const linkBandwidth uint64 = 100_000_000_000
+
 // ClusterConfig assembles one training run.
 type ClusterConfig struct {
 	Model  Model
@@ -50,7 +53,6 @@ type ClusterConfig struct {
 	Pattern        Pattern  // Slow Worker Pattern reading; default SingleVictim
 	Timeout        sim.Time // Trio-ML block expiry; default 10 ms
 	TimerThreads   int      // default 100
-	LinkBandwidth  uint64   // default 100 Gbps
 	Seed           uint64
 
 	// LossProb injects independent frame loss on every link (§7's transient
@@ -107,9 +109,6 @@ func (cfg *ClusterConfig) defaults() {
 	if cfg.TimerThreads == 0 {
 		cfg.TimerThreads = 100
 	}
-	if cfg.LinkBandwidth == 0 {
-		cfg.LinkBandwidth = 100_000_000_000
-	}
 }
 
 // IterationResult is one iteration's outcome.
@@ -155,7 +154,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.Faults != nil {
 		fc := *cfg.Faults
-		typical := cfg.Model.TypicalIter(cfg.LinkBandwidth)
+		typical := cfg.Model.TypicalIter(linkBandwidth)
 		if fc.Train.CrashProb > 0 {
 			// Fill zero crash-timing ranges so crashes land inside (and
 			// outages span a meaningful slice of) an iteration.
@@ -180,7 +179,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.System == SystemSwitchML && window > cfg.PoolSize {
 		window = cfg.PoolSize // outstanding blocks cannot exceed the slot pool
 	}
-	scaledBW := cfg.LinkBandwidth / uint64(cfg.Scale)
+	scaledBW := linkBandwidth / uint64(cfg.Scale)
 
 	params := WorkerParams{
 		JobID: 1, Blocks: blocks, GradsPerPacket: cfg.GradsPerPacket,
@@ -193,7 +192,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	injector := NewInjectorPattern(cfg.StragglerP, cfg.NumWorkers,
-		cfg.Model.TypicalIter(cfg.LinkBandwidth), cfg.Seed, cfg.Pattern)
+		cfg.Model.TypicalIter(linkBandwidth), cfg.Seed, cfg.Pattern)
 
 	var inject func(port int, frame []byte)
 	switch cfg.System {
@@ -317,7 +316,7 @@ func (c *Cluster) Run(iterations int) ([]IterationResult, error) {
 		}
 		w.Start(iterations)
 	}
-	typical := c.Cfg.Model.TypicalIter(c.Cfg.LinkBandwidth)
+	typical := c.Cfg.Model.TypicalIter(linkBandwidth)
 	deadline := sim.Time(iterations+2)*typical*8 + sim.Second
 	last := iterations - 1
 	for c.recvCnt[last] < c.Cfg.NumWorkers {
@@ -354,7 +353,7 @@ func (c *Cluster) doneIters() int {
 // compute plus 2(N−1)/N × model bytes at line rate.
 func (c *Cluster) runIdeal(iterations int) []IterationResult {
 	n := float64(c.Cfg.NumWorkers)
-	ringNs := 2 * (n - 1) / n * float64(c.Cfg.Model.Bytes()) * 8 / float64(c.Cfg.LinkBandwidth) * float64(sim.Second)
+	ringNs := 2 * (n - 1) / n * float64(c.Cfg.Model.Bytes()) * 8 / float64(linkBandwidth) * float64(sim.Second)
 	ring := sim.Time(ringNs)
 	out := make([]IterationResult, iterations)
 	var t sim.Time

@@ -24,9 +24,6 @@ type Ethernet struct {
 // EthernetLen is the serialized Ethernet header size.
 const EthernetLen = 14
 
-func (e *Ethernet) LayerName() string { return "Ethernet" }
-func (e *Ethernet) HeaderLen() int    { return EthernetLen }
-
 func (e *Ethernet) MarshalTo(b []byte) int {
 	copy(b[0:6], e.Dst[:])
 	copy(b[6:12], e.Src[:])
@@ -61,8 +58,6 @@ type IPv4 struct {
 
 // IPv4MinLen is the option-less IPv4 header size.
 const IPv4MinLen = 20
-
-func (ip *IPv4) LayerName() string { return "IPv4" }
 
 // IHL reports the header length field in 32-bit words.
 func (ip *IPv4) IHL() uint8 { return uint8(IPv4MinLen+len(ip.Options)) / 4 }
@@ -123,8 +118,8 @@ func (ip *IPv4) Unmarshal(b []byte) ([]byte, error) {
 }
 
 // UDP is the 8-byte UDP header. Checksum covers the pseudo-header and
-// payload when serialized through Serialize; Unmarshal records but does not
-// verify it (the simulator's memory system is assumed error-free, and
+// payload when built by BuildUDP or BuildTrioML; Unmarshal records but does
+// not verify it (the simulator's memory system is assumed error-free, and
 // real-socket traffic is verified by the kernel).
 type UDP struct {
 	SrcPort, DstPort uint16
@@ -134,9 +129,6 @@ type UDP struct {
 
 // UDPLen is the serialized UDP header size.
 const UDPLen = 8
-
-func (u *UDP) LayerName() string { return "UDP" }
-func (u *UDP) HeaderLen() int    { return UDPLen }
 
 func (u *UDP) MarshalTo(b []byte) int {
 	binary.BigEndian.PutUint16(b[0:2], u.SrcPort)

@@ -72,9 +72,6 @@ type NetRPC struct {
 	RPCID      uint64
 }
 
-func (h *NetRPC) LayerName() string { return "NetRPC" }
-func (h *NetRPC) HeaderLen() int    { return NetRPCHeaderLen }
-
 func (h *NetRPC) MarshalTo(b []byte) int {
 	b[NetRPCOpOff] = h.Op
 	b[NetRPCFlagsOff] = h.Flags

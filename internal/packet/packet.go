@@ -1,9 +1,9 @@
 // Package packet implements the wire formats used throughout the Trio
 // reproduction: Ethernet, IPv4, UDP, and the Trio-ML aggregation header of
-// Fig. 7/8. The design follows gopacket's layered model — each header is a
-// typed layer that can decode itself from bytes and serialize itself back —
-// but only carries the protocols this system needs, implemented on the
-// standard library alone.
+// Fig. 7/8, plus the NetRPC and retry-after headers. Each header is a plain
+// struct with MarshalTo/Unmarshal methods over a byte slice; there is no
+// generic layer interface, and frames are built and decoded by the
+// fixed-stack helpers in frame.go. Only the standard library is used.
 //
 // Both the simulated data path (internal/trio, internal/trioml) and the real
 // UDP host aggregator (internal/hostagg) use these exact bytes, so a packet
@@ -58,20 +58,6 @@ func Addr4(a netip.Addr) [4]byte {
 		panic(fmt.Sprintf("packet: %v is not an IPv4 address", a))
 	}
 	return a.As4()
-}
-
-// Layer is one decoded protocol header.
-type Layer interface {
-	// LayerName identifies the protocol for diagnostics.
-	LayerName() string
-	// HeaderLen reports the serialized header length in bytes.
-	HeaderLen() int
-	// MarshalTo writes the header into b, which must be at least HeaderLen
-	// bytes, and returns the number of bytes written.
-	MarshalTo(b []byte) int
-	// Unmarshal parses the header from the front of b and returns the
-	// remaining payload bytes.
-	Unmarshal(b []byte) (rest []byte, err error)
 }
 
 // Checksum computes the RFC 1071 Internet checksum over b with an initial

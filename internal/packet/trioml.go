@@ -43,9 +43,6 @@ type TrioML struct {
 	GradCnt  uint16 // 12 bits: number of gradients in this packet
 }
 
-func (h *TrioML) LayerName() string { return "TrioML" }
-func (h *TrioML) HeaderLen() int    { return TrioMLHeaderLen }
-
 func (h *TrioML) MarshalTo(b []byte) int {
 	for i := 0; i < TrioMLHeaderLen; i++ {
 		b[i] = 0
@@ -111,8 +108,7 @@ func Gradients(b []byte, count int) ([]int32, error) {
 
 // AddGradients adds count big-endian int32 gradients from b into dst in
 // place — the allocation-free aggregation path for hot receive loops. Only
-// min(count, len(dst)) values are added. b must hold 4*count bytes
-// (validate with CheckGradients first).
+// min(count, len(dst)) values are added. b must hold 4*count bytes.
 func AddGradients(dst []int32, b []byte, count int) {
 	if count > len(dst) {
 		count = len(dst)
@@ -120,12 +116,4 @@ func AddGradients(dst []int32, b []byte, count int) {
 	for i := 0; i < count; i++ {
 		dst[i] += int32(binary.BigEndian.Uint32(b[4*i:]))
 	}
-}
-
-// CheckGradients validates that b holds count serialized gradients.
-func CheckGradients(b []byte, count int) error {
-	if len(b) < 4*count {
-		return fmt.Errorf("gradients: %w (%d bytes for %d gradients)", ErrTruncated, len(b), count)
-	}
-	return nil
 }

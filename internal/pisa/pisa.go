@@ -29,8 +29,10 @@ type Config struct {
 	StageLatency  sim.Time // per-stage traversal; default 50 ns (≈600 ns pipe)
 	PortBandwidth uint64   // per port; default 100 Gbps
 	NumPorts      int      // default 64
-	RecircPenalty sim.Time // extra latency per recirculation; default 700 ns
 }
+
+// recircPenalty is the extra latency of one recirculation pass.
+const recircPenalty = 700 * sim.Nanosecond
 
 // DefaultConfig returns the Tofino-like operating point used in §6.
 func DefaultConfig() Config {
@@ -41,7 +43,6 @@ func DefaultConfig() Config {
 		StageLatency:  50 * sim.Nanosecond,
 		PortBandwidth: 100_000_000_000,
 		NumPorts:      64,
-		RecircPenalty: 700 * sim.Nanosecond,
 	}
 }
 
@@ -111,9 +112,6 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 	}
 	if cfg.NumPorts == 0 {
 		cfg.NumPorts = def.NumPorts
-	}
-	if cfg.RecircPenalty == 0 {
-		cfg.RecircPenalty = def.RecircPenalty
 	}
 	s := &Switch{Cfg: cfg, Engine: eng, ports: make([]sim.Time, cfg.NumPorts)}
 	s.regs = make([][]int32, cfg.NumPipelines)
@@ -190,7 +188,7 @@ func (s *Switch) runPass(ctx *Ctx) {
 	exit := ctx.now + sim.Time(s.Cfg.Stages)*s.Cfg.StageLatency
 	if recirc {
 		s.stats.Recirculations++
-		s.Engine.AtFunc(exit+s.Cfg.RecircPenalty, recircEvent, ctx)
+		s.Engine.AtFunc(exit+recircPenalty, recircEvent, ctx)
 		return
 	}
 	s.Engine.AtFunc(exit, finishEvent, ctx)
@@ -301,9 +299,6 @@ type Ctx struct {
 
 // Packet returns the packet in flight.
 func (c *Ctx) Packet() *Packet { return c.pkt }
-
-// Pipeline reports which pipeline the pass runs in.
-func (c *Ctx) Pipeline() int { return c.pipeline }
 
 // Now reports the pass's current virtual time.
 func (c *Ctx) Now() sim.Time { return c.now }

@@ -12,6 +12,11 @@ import (
 // completion events, link deliveries, §5 timer threads) use this form.
 type EventFunc func(arg any)
 
+// callFunc is the EventFunc behind At, After and Every: their func() rides
+// in the event's arg. A func value is pointer-shaped, so boxing it in an
+// interface allocates nothing and every event takes one callback path.
+func callFunc(arg any) { arg.(func())() }
+
 // Handle identifies a scheduled event and can cancel it. The zero Handle is
 // inert. Handles are small values; copying them is free.
 //
@@ -45,15 +50,14 @@ func (h Handle) Active() bool {
 	return ev.gen == h.gen && ev.state == evArmed
 }
 
-// event is one scheduled callback, stored by value in the engine's slab.
-// Exactly one of fn/afn is set. A positive period marks a periodic event:
+// event is one scheduled callback, stored by value in the engine's slab;
+// it fills one 64-byte cache line. A positive period marks a periodic event:
 // after each firing the engine re-arms the same slot, so steady-state
 // periodic firing allocates nothing.
 type event struct {
 	at     Time
 	seq    uint64 // tie-break: FIFO among equal timestamps
-	fn     func()
-	afn    EventFunc
+	fn     EventFunc
 	arg    any
 	period Time
 	next   int32 // intrusive link: wheel-slot chain or free list
@@ -174,23 +178,23 @@ func (e *Engine) Metrics() Metrics {
 // panics: it always indicates a modelling bug, and silently reordering time
 // would make results meaningless.
 func (e *Engine) At(t Time, fn func()) Handle {
-	return e.schedule(t, fn, nil, nil, 0)
+	return e.schedule(t, callFunc, fn, 0)
 }
 
 // After schedules fn to run d nanoseconds from now. Negative delays panic.
 func (e *Engine) After(d Time, fn func()) Handle {
-	return e.schedule(e.now+d, fn, nil, nil, 0)
+	return e.schedule(e.now+d, callFunc, fn, 0)
 }
 
 // AtFunc schedules fn(arg) at absolute time t. With a package-level fn and a
 // pointer-typed arg this allocates nothing.
 func (e *Engine) AtFunc(t Time, fn EventFunc, arg any) Handle {
-	return e.schedule(t, nil, fn, arg, 0)
+	return e.schedule(t, fn, arg, 0)
 }
 
 // AfterFunc schedules fn(arg) to run d nanoseconds from now.
 func (e *Engine) AfterFunc(d Time, fn EventFunc, arg any) Handle {
-	return e.schedule(e.now+d, nil, fn, arg, 0)
+	return e.schedule(e.now+d, fn, arg, 0)
 }
 
 // Every schedules fn to run periodically with the given period, starting at
@@ -201,7 +205,7 @@ func (e *Engine) Every(offset, period Time, fn func()) Handle {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	return e.schedule(e.now+offset, fn, nil, nil, period)
+	return e.schedule(e.now+offset, callFunc, fn, period)
 }
 
 // EveryFunc is Every in argument-passing form: fn(arg) fires every period
@@ -210,10 +214,10 @@ func (e *Engine) EveryFunc(offset, period Time, fn EventFunc, arg any) Handle {
 	if period <= 0 {
 		panic("sim: EveryFunc requires a positive period")
 	}
-	return e.schedule(e.now+offset, nil, fn, arg, period)
+	return e.schedule(e.now+offset, fn, arg, period)
 }
 
-func (e *Engine) schedule(t Time, fn func(), afn EventFunc, arg any, period Time) Handle {
+func (e *Engine) schedule(t Time, fn EventFunc, arg any, period Time) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", t, e.now))
 	}
@@ -223,7 +227,6 @@ func (e *Engine) schedule(t Time, fn func(), afn EventFunc, arg any, period Time
 	ev.at = t
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.afn = afn
 	ev.arg = arg
 	ev.period = period
 	ev.state = evArmed
@@ -251,27 +254,17 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	e.executed++
 	if ev.period <= 0 {
-		fn, afn, arg := ev.fn, ev.afn, ev.arg
+		fn, arg := ev.fn, ev.arg
 		e.live--
 		e.freeSlot(idx)
-		if afn != nil {
-			afn(arg)
-		} else {
-			fn()
-		}
+		fn(arg)
 		return true
 	}
 	// Periodic: fire, then re-arm the same slot unless the callback
 	// stopped it. The re-arm happens after the callback so events the
 	// callback schedules order ahead of the next tick, exactly as the old
 	// closure-chaining Every did.
-	if ev.afn != nil {
-		afn, arg := ev.afn, ev.arg
-		afn(arg)
-	} else {
-		fn := ev.fn
-		fn()
-	}
+	ev.fn(ev.arg)
 	ev = &e.slab[idx] // the callback may have grown the slab
 	if ev.state == evCancelled {
 		e.freeSlot(idx)
@@ -306,10 +299,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// RunFor advances the clock by d, executing all events that fall inside the
-// window.
-func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
-
 // ---- internals ----
 
 func (e *Engine) allocSlot() int32 {
@@ -328,7 +317,7 @@ func (e *Engine) allocSlot() int32 {
 
 func (e *Engine) freeSlot(idx int32) {
 	ev := &e.slab[idx]
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
+	ev.fn, ev.arg = nil, nil
 	ev.period = 0
 	ev.state = evFree
 	ev.gen++
@@ -347,7 +336,7 @@ func (e *Engine) cancel(idx int32, gen uint32) bool {
 	// Tombstone; drop callback references immediately so cancelled events
 	// never pin their captures until the queue reaches them.
 	ev.state = evCancelled
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
+	ev.fn, ev.arg = nil, nil
 	e.live--
 	e.m.Cancelled++
 	return true

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // Regression for the Every stop() leak: cancelling a periodic timer must
 // remove its pending tick from the queue. The old engine left a dead tick
@@ -274,5 +277,31 @@ func TestSlabRecycles(t *testing.T) {
 	e.Run()
 	if m := e.Metrics(); m.SlabPeak > 4 {
 		t.Fatalf("slab grew to %d slots for a 1-deep event chain", m.SlabPeak)
+	}
+}
+
+// TestEventFillsOneCacheLine: with one callback form the slab record is
+// exactly one 64-byte cache line.
+func TestEventFillsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Fatalf("event is %d bytes, want 64", got)
+	}
+}
+
+// TestAtPrebuiltFuncAllocsNothing: At boxes its func() as the arg of the
+// shared trampoline, which must not allocate.
+func TestAtPrebuiltFuncAllocsNothing(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	fn := func() { fired++ }
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.At(e.Now()+10, fn)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At with a prebuilt func allocates %v/op, want 0", allocs)
+	}
+	if fired == 0 {
+		t.Fatal("callback never fired")
 	}
 }

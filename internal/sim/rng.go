@@ -45,6 +45,3 @@ func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 
 // Bernoulli reports true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -26,10 +26,6 @@ const (
 	Second           = 1000 * Millisecond
 )
 
-// Duration converts a virtual timestamp to a wall-clock duration, which is
-// convenient for reporting.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // Seconds returns the timestamp as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
@@ -40,6 +36,3 @@ func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) 
 func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
 
 func (t Time) String() string { return time.Duration(t).String() }
-
-// FromDuration converts a wall-clock duration into simulation time.
-func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }

@@ -23,9 +23,6 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// AddTime records a virtual duration as floating-point microseconds.
-func (s *Sample) AddTime(t Time) { s.Add(t.Microseconds()) }
-
 // Merge records every observation of other into s.
 func (s *Sample) Merge(other *Sample) {
 	for _, x := range other.xs {

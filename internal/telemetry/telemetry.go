@@ -29,6 +29,9 @@ type FlowRecord struct {
 	At      sim.Time // export time
 }
 
+// instrPerPkt is the microcode instruction count of per-packet accounting.
+const instrPerPkt = 12
+
 // Config parameterizes a Monitor.
 type Config struct {
 	MaxFlows    int      // counter slots; default 4096
@@ -36,7 +39,6 @@ type Config struct {
 	ScanThreads int      // staggered timer threads; default 10
 	HeavyBytes  uint64   // heavy-hitter threshold; 0 disables
 	EgressPort  int      // where conforming traffic forwards
-	InstrPerPkt int      // per-packet accounting; default 12
 	OnExport    func(FlowRecord)
 	OnHeavy     func(FlowRecord)
 	// Guard, when non-nil, applies per-source security policy before
@@ -78,9 +80,6 @@ func Attach(p *pfe.PFE, cfg Config) (*Monitor, error) {
 	if cfg.ScanThreads == 0 {
 		cfg.ScanThreads = 10
 	}
-	if cfg.InstrPerPkt == 0 {
-		cfg.InstrPerPkt = 12
-	}
 	m := &Monitor{
 		cfg:   cfg,
 		pfe:   p,
@@ -119,7 +118,7 @@ func (m *Monitor) Process(ctx *pfe.Ctx) {
 		ctx.Drop()
 		return
 	}
-	ctx.ChargeInstr(m.cfg.InstrPerPkt)
+	ctx.ChargeInstr(instrPerPkt)
 	m.stats.Packets++
 
 	// Programmable field selection into the hardwired hash (§2.2).

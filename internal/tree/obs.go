@@ -45,10 +45,7 @@ func (s *RunStats) TotalGenRestarts() uint64 {
 // Stats gathers the run outcome. Call only when the tree is quiescent
 // (after Run returns): it reads state owned by partition goroutines.
 func (t *Tree) Stats() RunStats {
-	s := RunStats{Workers: t.Cfg.Workers(), Partitions: 1}
-	if t.Cluster != nil {
-		s.Partitions = t.Cluster.Partitions()
-	}
+	s := RunStats{Workers: t.Cfg.Workers(), Partitions: t.Cluster.Partitions()}
 	for _, level := range t.Levels {
 		var ls LevelStats
 		ls.Nodes = len(level)
@@ -107,12 +104,7 @@ func (t *Tree) RegisterObs(r *obs.Registry) {
 	r.GaugeFunc(obs.Desc{
 		Name: "triogo_tree_partitions", Unit: "partitions",
 		Help: "Sim partitions the tree is placed on (AutoPlace: spines on 0, one per rack subtree).",
-	}, func() float64 {
-		if t.Cluster == nil {
-			return 1
-		}
-		return float64(t.Cluster.Partitions())
-	})
+	}, func() float64 { return float64(t.Cluster.Partitions()) })
 	for li := range t.Levels {
 		li := li
 		lbl := fmt.Sprintf(`level="%d"`, li)

@@ -20,8 +20,8 @@
 // proceeds with partial fan-in, and stamps age_op=level+1 (>= 2). That
 // result rides the ordinary result multicast down the tree, so it doubles
 // as the gen-restart signal: a worker that sees a degraded result with
-// age_op >= 2 re-contributes the block under the next generation id (up to
-// MaxRestarts times), and the whole tree re-aggregates it — recovering the
+// age_op >= 2 re-contributes the block under the next generation id (at
+// most once per block), and the whole tree re-aggregates it — recovering the
 // full bit-exact sum when the rack's outage was transient.
 package tree
 
@@ -49,6 +49,10 @@ const levelExpiryFactor = 4
 // MaxBlocks bounds Config.Blocks: worker banks track outstanding blocks in
 // one 64-bit mask per worker so a million-worker tree stays cheap.
 const MaxBlocks = 64
+
+// maxRestarts is how many gen-restarts a rack takes per block before it
+// settles for the partial result.
+const maxRestarts = 1
 
 // Spec is the tree shape: Racks leaf ToRs with WorkersPerRack workers each,
 // grouped FanOut-per-parent into spine levels until a single root remains.
@@ -94,8 +98,7 @@ type Config struct {
 	// everything on a single engine.
 	Partitions int
 
-	Seed        uint64
-	MaxRestarts int // gen-restarts a worker accepts per block before taking the partial; default 1
+	Seed uint64
 
 	// Chaos knobs. SilentWorkers never send (straggler workers, global
 	// worker id = rack*WorkersPerRack + index). SilentRacks silence every
@@ -128,11 +131,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.TimerThreads <= 0 {
 		c.TimerThreads = 4
-	}
-	if c.MaxRestarts < 0 {
-		c.MaxRestarts = 0
-	} else if c.MaxRestarts == 0 {
-		c.MaxRestarts = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -180,15 +178,15 @@ type Tree struct {
 	Cfg     Config
 	Levels  [][]*Node // Levels[0] = ToRs, last = [root]
 	Root    *Node
-	Cluster *sim.Cluster // nil single-engine
-	eng     *sim.Engine  // partition-0 / single engine
+	Cluster *sim.Cluster // one partition runs the plain serial step loop
 	banks   []*workerBank
 	stops   []*pfe.TimerThreads
 
 	// unfinished counts banks that still owe accepts. The serial step loop
 	// polls the stop condition per event, so it must be O(1): each bank
 	// decrements this once, when its own remaining-accepts count hits zero
-	// (atomically — in cluster mode banks complete on partition goroutines).
+	// (atomically — with several partitions, banks complete on partition
+	// goroutines).
 	unfinished atomic.Int64
 }
 
@@ -218,19 +216,7 @@ func Build(cfg Config) (*Tree, error) {
 	}
 	pl := AutoPlace(cfg.Racks, cfg.Partitions)
 
-	t := &Tree{Cfg: cfg}
-	if pl.Partitions > 1 {
-		t.Cluster = sim.NewCluster(pl.Partitions)
-		t.eng = t.Cluster.Engine(0)
-	} else {
-		t.eng = sim.NewEngine()
-	}
-	engineAt := func(p int) *sim.Engine {
-		if t.Cluster == nil {
-			return t.eng
-		}
-		return t.Cluster.Engine(p)
-	}
+	t := &Tree{Cfg: cfg, Cluster: sim.NewCluster(pl.Partitions)}
 
 	// Routers, bottom-up. Construction order (racks ascending, then spine
 	// levels) fixes cross-partition channel-key order, which is part of
@@ -241,7 +227,7 @@ func Build(cfg Config) (*Tree, error) {
 	// hash buckets would be pure overhead times thousands of routers.
 	pcfg.Hash.Buckets = 256
 	newNode := func(level, index, fanIn, part int) *Node {
-		eng := engineAt(part)
+		eng := t.Cluster.Engine(part)
 		pc := pcfg
 		pc.NumPorts = fanIn + 1 // child ports plus the uplink
 		r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: pc})
@@ -380,15 +366,7 @@ func (t *Tree) Run(deadline sim.Time) {
 	for r, b := range t.banks {
 		b.eng.At(sim.Time(r)*sim.Nanosecond, b.start)
 	}
-	if t.Cluster != nil {
-		t.Cluster.Run(t.done, deadline)
-	} else {
-		for !t.done() {
-			if !t.eng.Step() || t.eng.Now() > deadline {
-				break
-			}
-		}
-	}
+	t.Cluster.Run(t.done, deadline)
 	for _, s := range t.stops {
 		s.Stop()
 	}

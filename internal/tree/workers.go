@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"hash/fnv"
 	"math/bits"
 
 	"github.com/trioml/triogo/internal/netsim"
@@ -17,7 +18,7 @@ import (
 // `Blocks` aggregation blocks with `Window` outstanding, and on each result
 // either accept it or — when the result is degraded with age_op >= 2, i.e.
 // a spine proceeded without a whole rack — bump the block's generation and
-// re-contribute (gen-restart), up to MaxRestarts times. Generation state is
+// re-contribute (gen-restart), at most maxRestarts times. Generation state is
 // rack-shared: the first worker to see the restart signal bumps the
 // generation, and every later worker notices its last send is stale and
 // re-sends, so one multicast restarts the whole rack.
@@ -41,9 +42,9 @@ type workerBank struct {
 	out  []uint64 // outstanding-block bitmask (Blocks <= 64)
 
 	// Per-(worker, block) and per-block (rack-shared) generation state.
-	sentGen   []uint16 // w*Blocks+b -> generation of the last send
-	rackGen   []uint16 // b -> current generation (starts at 1)
-	restarts  []uint8  // b -> gen-restarts taken
+	sentGen   []uint16   // w*Blocks+b -> generation of the last send
+	rackGen   []uint16   // b -> current generation (starts at 1)
+	restarts  []uint8    // b -> gen-restarts taken
 	firstSend []sim.Time // b -> first transmission (restart-recovery baseline)
 
 	// Outcome bookkeeping, read after the run (or at barriers) by Stats.
@@ -70,12 +71,11 @@ type ResultSig struct {
 	Hash   uint64
 }
 
+// hashPayload is the FNV-1a hash of a result's gradient bytes.
 func hashPayload(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // ExpectedHash computes the ResultSig hash of block blk's tree-wide sum
@@ -206,7 +206,7 @@ func (b *workerBank) onFrame(w int, raw []byte, at sim.Time) {
 	// block's generation — a gen-restart — unless the restart budget is
 	// spent, in which case the rack settles for the partial.
 	if h.Degraded && h.AgeOp >= 2 && h.GenID == b.rackGen[blk] &&
-		b.restarts[blk] < uint8(b.cfg.MaxRestarts) {
+		b.restarts[blk] < maxRestarts {
 		b.rackGen[blk]++
 		b.restarts[blk]++
 		b.genRestarts[h.AgeOp-1]++

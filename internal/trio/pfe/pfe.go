@@ -231,9 +231,6 @@ func (p *PFE) PortUtilization(port int) float64 {
 	return float64(p.ports[port].busy) / float64(p.Engine.Now())
 }
 
-// ThreadCapacity reports the total PPE thread pool size.
-func (p *PFE) ThreadCapacity() int { return p.pool.cap }
-
 // BusyThreads reports how many threads are currently executing.
 func (p *PFE) BusyThreads() int { return p.pool.cap - p.pool.free }
 

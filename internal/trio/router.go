@@ -17,7 +17,6 @@ import (
 type Config struct {
 	NumPFEs int
 	PFE     pfe.Config
-	Fabric  fabric.Config
 }
 
 // FabricFlowBase offsets fabric-delivered flows in the reorder engine's key
@@ -50,7 +49,7 @@ func New(eng *sim.Engine, cfg Config) *Router {
 	}
 	r := &Router{
 		Engine:   eng,
-		Fabric:   fabric.New(eng, cfg.NumPFEs, cfg.Fabric),
+		Fabric:   fabric.New(eng, cfg.NumPFEs, fabric.DefaultConfig()),
 		external: make(map[portKey]pfe.Output),
 		internal: make(map[portKey]internalLink),
 	}
@@ -64,9 +63,6 @@ func New(eng *sim.Engine, cfg Config) *Router {
 	}
 	return r
 }
-
-// NumPFEs reports the PFE count.
-func (r *Router) NumPFEs() int { return len(r.pfes) }
 
 // PFE returns PFE i.
 func (r *Router) PFE(i int) *pfe.PFE { return r.pfes[i] }

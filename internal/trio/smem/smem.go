@@ -61,13 +61,18 @@ type Tier struct {
 	Latency sim.Time // PPE-observed access latency
 }
 
+// The DRAM cache and off-chip DRAM tiers are fixed at the §2.3 operating
+// point; only the SRAM tier and the engines are configurable.
+const (
+	cacheSize    uint64   = 16 << 20             // typically 8–24 MB
+	dramSize     uint64   = 2 << 30              // several GB
+	cacheLatency sim.Time = 300 * sim.Nanosecond // ≈300 ns
+)
+
 // Config sizes a shared memory system. The defaults follow §2.3 and §6.3.
 type Config struct {
 	SRAMSize      uint64   // typically 2–8 MB
-	CacheSize     uint64   // typically 8–24 MB
-	DRAMSize      uint64   // several GB
 	SRAMLatency   sim.Time // ≈70 ns
-	CacheLatency  sim.Time // ≈300 ns
 	DRAMLatency   sim.Time // ≈400 ns
 	NumRMWEngines int      // 12 in the generation measured in §6.3
 	CycleTime     sim.Time // 1 ns at the 1 GHz clock of §6.3
@@ -77,10 +82,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		SRAMSize:      4 << 20,
-		CacheSize:     16 << 20,
-		DRAMSize:      2 << 30,
 		SRAMLatency:   70 * sim.Nanosecond,
-		CacheLatency:  300 * sim.Nanosecond,
 		DRAMLatency:   400 * sim.Nanosecond,
 		NumRMWEngines: 12,
 		CycleTime:     1 * sim.Nanosecond,
@@ -142,17 +144,8 @@ func New(cfg Config) *Memory {
 	if cfg.SRAMSize == 0 {
 		cfg.SRAMSize = def.SRAMSize
 	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = def.CacheSize
-	}
-	if cfg.DRAMSize == 0 {
-		cfg.DRAMSize = def.DRAMSize
-	}
 	if cfg.SRAMLatency == 0 {
 		cfg.SRAMLatency = def.SRAMLatency
-	}
-	if cfg.CacheLatency == 0 {
-		cfg.CacheLatency = def.CacheLatency
 	}
 	if cfg.DRAMLatency == 0 {
 		cfg.DRAMLatency = def.DRAMLatency
@@ -169,8 +162,8 @@ func New(cfg Config) *Memory {
 		engines: make([]engine, cfg.NumRMWEngines),
 	}
 	m.tiers[TierSRAM] = Tier{Kind: TierSRAM, Base: 0, Size: cfg.SRAMSize, Latency: cfg.SRAMLatency}
-	m.tiers[TierCache] = Tier{Kind: TierCache, Base: cfg.SRAMSize, Size: cfg.CacheSize, Latency: cfg.CacheLatency}
-	m.tiers[TierDRAM] = Tier{Kind: TierDRAM, Base: cfg.SRAMSize + cfg.CacheSize, Size: cfg.DRAMSize, Latency: cfg.DRAMLatency}
+	m.tiers[TierCache] = Tier{Kind: TierCache, Base: cfg.SRAMSize, Size: cacheSize, Latency: cacheLatency}
+	m.tiers[TierDRAM] = Tier{Kind: TierDRAM, Base: cfg.SRAMSize + cacheSize, Size: dramSize, Latency: cfg.DRAMLatency}
 	return m
 }
 
