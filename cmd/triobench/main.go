@@ -12,7 +12,7 @@
 //
 // Beyond the paper's own tables, -exp chaos sweeps the fault-injection
 // subsystem (internal/faults) across fault families and rates, reporting
-// recovery time, goodput, and bit-exactness against a fault-free oracle;
+// recovery time, goodput, and bit-exactness against the closed-form sum;
 // it exits non-zero if recovery exceeds the §5 bound or any sum diverges.
 // -exp tree sweeps multi-rack hierarchical aggregation trees (internal/tree)
 // from the paper's six-worker testbed to 10^5 simulated workers (10^6 with

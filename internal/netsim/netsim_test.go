@@ -57,21 +57,6 @@ func TestLinkIdleGapsDoNotAccumulateCredit(t *testing.T) {
 	}
 }
 
-func TestDuplexDirectionsIndependent(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDuplex(eng, LinkConfig{Bandwidth: 100_000_000_000, Propagation: 0})
-	var aToB, bToA int
-	d.AtoB.SetReceiver(func([]byte, sim.Time) { aToB++ })
-	d.BtoA.SetReceiver(func([]byte, sim.Time) { bToA++ })
-	d.AtoB.Send(make([]byte, 100))
-	d.BtoA.Send(make([]byte, 100))
-	d.BtoA.Send(make([]byte, 100))
-	eng.Run()
-	if aToB != 1 || bToA != 2 {
-		t.Fatalf("a->b=%d b->a=%d", aToB, bToA)
-	}
-}
-
 // dropPattern sends n frames over a link built with cfg and returns the
 // indices of the frames the native loss stream dropped.
 func dropPattern(cfg LinkConfig, n int) []int {
@@ -91,7 +76,7 @@ func dropPattern(cfg LinkConfig, n int) []int {
 
 // TestLossPatternPinned is the determinism regression test for the loss
 // stream: for a fixed LossSeed the exact set of dropped frame indices is part
-// of the package's contract (golden experiments and the chaos oracle depend
+// of the package's contract (golden experiments and the chaos sweep depend
 // on it), so the pattern is pinned literally. It must reproduce across runs
 // and must not shift when the surrounding topology changes — links draw from
 // per-seed PCG streams, not a shared RNG, so building more shards/links/

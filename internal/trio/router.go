@@ -28,10 +28,9 @@ type Router struct {
 	Engine *sim.Engine
 	Fabric *fabric.Fabric
 
-	pfes      []*pfe.PFE
-	external  map[portKey]pfe.Output
-	internal  map[portKey]internalLink
-	flowOfPkt func(frame []byte) uint64
+	pfes     []*pfe.PFE
+	external map[portKey]pfe.Output
+	internal map[portKey]internalLink
 }
 
 type portKey struct {
@@ -66,11 +65,6 @@ func New(eng *sim.Engine, cfg Config) *Router {
 
 // PFE returns PFE i.
 func (r *Router) PFE(i int) *pfe.PFE { return r.pfes[i] }
-
-// SetFlowClassifier installs the function that derives a reorder-engine flow
-// key from a frame arriving over the fabric. Without one, fabric arrivals
-// use a single flow per (src PFE egress port).
-func (r *Router) SetFlowClassifier(fn func(frame []byte) uint64) { r.flowOfPkt = fn }
 
 // AttachExternal binds an external receiver (a server NIC, a peer router) to
 // a PFE port. Frames the PFE forwards out that port are delivered to out.
@@ -111,10 +105,8 @@ func (r *Router) route(pfeID, port int, frame []byte) {
 	if link, ok := r.internal[k]; ok {
 		src := pfeID
 		r.Fabric.Send(src, link.dstPFE, frame, func(f []byte, at sim.Time) {
+			// One reorder flow per (src PFE, egress port).
 			flow := FabricFlowBase | uint64(src)<<16 | uint64(port)
-			if r.flowOfPkt != nil {
-				flow = FabricFlowBase | r.flowOfPkt(f)
-			}
 			r.pfes[link.dstPFE].Inject(link.dstPort, flow, f)
 		})
 		return

@@ -94,23 +94,3 @@ func TestRouterUnattachedPortBlackHoles(t *testing.T) {
 		t.Fatal("packet not processed")
 	}
 }
-
-func TestRouterFlowClassifierAppliedOnFabric(t *testing.T) {
-	eng := sim.NewEngine()
-	r := New(eng, Config{NumPFEs: 2})
-	r.ConnectInternal(0, 5, 1, 5)
-	r.SetFlowClassifier(func(frame []byte) uint64 { return uint64(frame[0]) })
-	var flows []uint64
-	r.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) { ctx.Forward(5) }))
-	r.PFE(1).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
-		flows = append(flows, ctx.Packet().Flow)
-		ctx.Consume()
-	}))
-	f := make([]byte, 64)
-	f[0] = 9
-	r.Inject(0, 0, 1, f)
-	eng.Run()
-	if len(flows) != 1 || flows[0] != FabricFlowBase|9 {
-		t.Fatalf("flows = %v", flows)
-	}
-}
